@@ -45,11 +45,13 @@ std::uint64_t GuestMemory::Seed(PageId page) const {
   return seeds_[page];
 }
 
-void GuestMemory::WritePage(PageId page, std::uint64_t content_seed) {
+void GuestMemory::WriteBurst(PageId page, std::uint64_t count,
+                             std::uint64_t content_seed) {
   CheckPage(page);
+  if (count == 0) return;
   seeds_[page] = content_seed;
-  ++generations_[page];
-  ++total_writes_;
+  generations_[page] += count;
+  total_writes_ += count;
   if (mode_ == ContentMode::kMaterialized) {
     MaterializePage(content_seed,
                     std::span<std::byte>(backing_.data() + page * kPageSize,

@@ -16,7 +16,11 @@
 //                  migration protocol reconstructs memory byte-for-byte.
 //
 // Writes bump a per-page generation counter, which is exactly the dirty
-// tracking state Miyakodori keeps (§4.3).
+// tracking state Miyakodori keeps (§4.3). A generation counts writes, not
+// content updates: WriteBurst() applies `count` back-to-back writes as one
+// content update (only the last store's content survives) and one
+// generation bump of `count`, so workloads cost O(pages touched) rather
+// than O(writes) while every counter reads as if each store ran.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +69,16 @@ class GuestMemory {
   /// Overwrites `page` with new content. Bumps the generation counter even
   /// if the seed is unchanged (a store is a store — this is what makes
   /// dirty tracking overestimate, §4.3).
-  void WritePage(PageId page, std::uint64_t content_seed);
+  void WritePage(PageId page, std::uint64_t content_seed) {
+    WriteBurst(page, 1, content_seed);
+  }
+
+  /// `count` back-to-back writes to `page`, the last of which stores
+  /// `content_seed`: generation and TotalWrites() rise by `count`, and
+  /// the content (the page image, in kMaterialized mode) is updated
+  /// once. A count of 0 changes nothing.
+  void WriteBurst(PageId page, std::uint64_t count,
+                  std::uint64_t content_seed);
 
   /// Copies content from one frame to another, as the guest kernel does
   /// when compacting or COW-duplicating memory. Dirties the destination.

@@ -28,6 +28,32 @@ std::uint64_t FreshSeed(Xoshiro256& rng) {
   return s;
 }
 
+/// Applies `writes` writes that each land on a page drawn uniformly from
+/// [0, region) and store fresh content, with exactly the per-page write
+/// counts of a per-write loop, in O(min(writes, region)) work. Below one
+/// write per page each drawn page is written as it comes; merging the
+/// repeats there (a sort or a hash per write) measured slower than the
+/// writes it saves. Otherwise the region is walked once, page i taking
+/// Bin(left, 1/(region - i)) of the `left` writes not yet placed as one
+/// WriteBurst.
+void ScatterWrites(GuestMemory& memory, std::uint64_t writes,
+                   std::uint64_t region, Xoshiro256& rng) {
+  if (writes < region) {
+    for (std::uint64_t i = 0; i < writes; ++i) {
+      memory.WritePage(rng.NextBelow(region), FreshSeed(rng));
+    }
+    return;
+  }
+  std::uint64_t left = writes;
+  for (PageId page = 0; page < region && left > 0; ++page) {
+    const std::uint64_t count = rng.NextBinomial(
+        left, 1.0 / static_cast<double>(region - page));
+    if (count == 0) continue;
+    memory.WriteBurst(page, count, FreshSeed(rng));
+    left -= count;
+  }
+}
+
 }  // namespace
 
 void IdleWorkload::Config::Validate() const {
@@ -48,9 +74,7 @@ void IdleWorkload::Advance(GuestMemory& memory, SimDuration dt) {
       OpsFor(Throttled(config_.write_rate_pages_per_s), dt, carry_);
   const std::uint64_t region =
       std::min(config_.hot_region_pages, memory.PageCount());
-  for (std::uint64_t i = 0; i < writes; ++i) {
-    memory.WritePage(rng_.NextBelow(region), FreshSeed(rng_));
-  }
+  ScatterWrites(memory, writes, region, rng_);
 }
 
 UniformRandomWorkload::UniformRandomWorkload(double write_rate_pages_per_s,
@@ -61,9 +85,7 @@ UniformRandomWorkload::UniformRandomWorkload(double write_rate_pages_per_s,
 
 void UniformRandomWorkload::Advance(GuestMemory& memory, SimDuration dt) {
   const std::uint64_t writes = OpsFor(Throttled(rate_), dt, carry_);
-  for (std::uint64_t i = 0; i < writes; ++i) {
-    memory.WritePage(rng_.NextBelow(memory.PageCount()), FreshSeed(rng_));
-  }
+  ScatterWrites(memory, writes, memory.PageCount(), rng_);
 }
 
 void HotspotWorkload::Config::Validate() const {
@@ -88,12 +110,13 @@ void HotspotWorkload::Advance(GuestMemory& memory, SimDuration dt) {
   const auto hot_pages = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(config_.hot_fraction *
                                     static_cast<double>(n)));
-  for (std::uint64_t i = 0; i < writes; ++i) {
-    const PageId page = rng_.NextBool(config_.hot_probability)
-                            ? rng_.NextBelow(hot_pages)
-                            : rng_.NextBelow(n);
-    memory.WritePage(page, FreshSeed(rng_));
-  }
+  // Each write lands in the hot region with hot_probability, else
+  // anywhere in RAM (the hot region included); a hot page's count is the
+  // sum of its two parts' bursts.
+  const std::uint64_t hot_writes =
+      rng_.NextBinomial(writes, config_.hot_probability);
+  ScatterWrites(memory, hot_writes, hot_pages, rng_);
+  ScatterWrites(memory, writes - hot_writes, n, rng_);
 }
 
 SequentialRamdiskWorkload::SequentialRamdiskWorkload(

@@ -1,7 +1,10 @@
 // Units, rates, formatting, RNG determinism, and the check machinery.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -146,6 +149,98 @@ TEST(Rng, NextBoolDegenerateProbabilities) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(rng.NextBool(0.0));
     EXPECT_TRUE(rng.NextBool(1.0));
+  }
+}
+
+// --- Binomial draws. ---
+
+struct BinomialCase {
+  std::uint64_t n;
+  double p;
+};
+
+class RngBinomial : public ::testing::TestWithParam<BinomialCase> {};
+
+TEST_P(RngBinomial, MomentsMatch) {
+  const auto [n, p] = GetParam();
+  constexpr int kDraws = 100000;
+  Xoshiro256 rng(n ^ 0xb1);
+  double sum = 0;
+  double sum_sq = 0;
+  double sum_cube = 0;
+  const double mean = static_cast<double>(n) * p;
+  const double variance = mean * (1.0 - p);
+  for (int i = 0; i < kDraws; ++i) {
+    const std::uint64_t k = rng.NextBinomial(n, p);
+    ASSERT_LE(k, n);
+    const double d = static_cast<double>(k) - mean;
+    sum += d;
+    sum_sq += d * d;
+    sum_cube += d * d * d;
+  }
+  const double sd = std::sqrt(variance);
+  // Sample mean within 5 standard errors; sample variance within 5
+  // standard errors of its own (sqrt(2/N) relative, near-normal).
+  EXPECT_NEAR(sum / kDraws, 0.0, 5.0 * sd / std::sqrt(kDraws));
+  EXPECT_NEAR(sum_sq / kDraws / variance, 1.0,
+              5.0 * std::sqrt(3.0 / kDraws));
+  // Skewness (1 - 2p) / sd, within 0.05 absolute.
+  EXPECT_NEAR(sum_cube / kDraws / (variance * sd), (1.0 - 2.0 * p) / sd,
+              0.05);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, RngBinomial,
+    ::testing::Values(BinomialCase{5, 0.3},            // inversion
+                      BinomialCase{100, 0.1},          // BTRD, np = 10
+                      BinomialCase{2520000, 1.0 / 256},  // BTRD, wide
+                      BinomialCase{123, 0.9}),         // n - Bin(n, 0.1)
+    [](const ::testing::TestParamInfo<BinomialCase>& info) {
+      // p in ten-thousandths: n5_p3000 is Bin(5, 0.3).
+      return "n" + std::to_string(info.param.n) + "_p" +
+             std::to_string(std::lround(info.param.p * 1e4));
+    });
+
+TEST(Rng, BinomialPmfMatchesAroundTheInversionBtrdSwitch) {
+  // Total variation distance between the sampled and the exact pmf, on
+  // both sides of np = 10 where the generator switches algorithm.
+  for (const BinomialCase c : {BinomialCase{40, 0.24}, BinomialCase{40, 0.25},
+                               BinomialCase{30, 0.5}}) {
+    constexpr int kDraws = 200000;
+    Xoshiro256 rng(97);
+    std::vector<double> freq(c.n + 1, 0.0);
+    for (int i = 0; i < kDraws; ++i) freq[rng.NextBinomial(c.n, c.p)] += 1;
+    double tv = 0;
+    for (std::uint64_t k = 0; k <= c.n; ++k) {
+      const double dn = static_cast<double>(c.n);
+      const double dk = static_cast<double>(k);
+      const double pmf =
+          std::exp(std::lgamma(dn + 1) - std::lgamma(dk + 1) -
+                   std::lgamma(dn - dk + 1) + dk * std::log(c.p) +
+                   (dn - dk) * std::log1p(-c.p));
+      tv += std::fabs(freq[k] / kDraws - pmf);
+    }
+    EXPECT_LT(tv / 2, 0.01) << "n=" << c.n << " p=" << c.p;
+  }
+}
+
+TEST(Rng, BinomialEdges) {
+  Xoshiro256 rng(31);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.NextBinomial(0, 0.5), 0u);
+    EXPECT_EQ(rng.NextBinomial(0, 1.0), 0u);
+    EXPECT_EQ(rng.NextBinomial(1000, 0.0), 0u);
+    EXPECT_EQ(rng.NextBinomial(1000, 1.0), 1000u);
+    EXPECT_EQ(rng.NextBinomial(1ull << 40, 1.0), 1ull << 40);
+    EXPECT_LE(rng.NextBinomial(1, 0.5), 1u);
+  }
+}
+
+TEST(Rng, BinomialIsDeterministic) {
+  Xoshiro256 a(41);
+  Xoshiro256 b(41);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(a.NextBinomial(5000, 0.37), b.NextBinomial(5000, 0.37));
   }
 }
 

@@ -533,7 +533,9 @@ TEST(PeriodicWorkloadConfigValidate, RejectsDegenerateCycles) {
       "idle hot_region_pages"));
   ExpectDistinct(messages);
   EXPECT_NO_THROW(PeriodicWorkload::Config{}.Validate());
-  EXPECT_THROW(PeriodicWorkload({.busy_fraction = -0.1}), CheckFailure);
+  PeriodicWorkload::Config negative_busy;
+  negative_busy.busy_fraction = -0.1;
+  EXPECT_THROW(PeriodicWorkload{negative_busy}, CheckFailure);
 }
 
 TEST(CycleDetectorConfigValidate, RejectsUnusableWindows) {

@@ -2,8 +2,12 @@
 // counters, dirty snapshots, memory profiles, and workload mutators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "digest/hasher.hpp"
@@ -86,6 +90,49 @@ TEST(GuestMemory, OutOfRangeAccessThrows) {
   GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
   EXPECT_THROW((void)memory.Seed(memory.PageCount()), CheckFailure);
   EXPECT_THROW(memory.WritePage(memory.PageCount(), 1), CheckFailure);
+}
+
+// --- Write bursts. ---
+
+TEST(WriteBurst, ZeroCountIsANoOp) {
+  GuestMemory memory(MiB(1), ContentMode::kMaterialized);
+  memory.WritePage(5, 77);
+  memory.WriteBurst(5, 0, 88);
+  EXPECT_EQ(memory.Seed(5), 77u);
+  EXPECT_EQ(memory.Generation(5), 1u);
+  EXPECT_EQ(memory.TotalWrites(), 1u);
+  std::array<std::byte, kPageSize> bytes;
+  MaterializePage(77, bytes);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
+                         memory.PageBytes(5).begin()));
+}
+
+TEST(WriteBurst, GenerationAndTotalRiseByCount) {
+  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
+  memory.WritePage(9, 1);
+  memory.WriteBurst(9, 1000, 2);
+  memory.WriteBurst(10, 7, 3);
+  EXPECT_EQ(memory.Seed(9), 2u);
+  EXPECT_EQ(memory.Generation(9), 1001u);
+  EXPECT_EQ(memory.Generation(10), 7u);
+  EXPECT_EQ(memory.Generation(11), 0u);
+  EXPECT_EQ(memory.TotalWrites(), 1008u);
+}
+
+TEST(WriteBurst, MaterializesTheLastStoredContent) {
+  GuestMemory memory(MiB(1), ContentMode::kMaterialized);
+  memory.WriteBurst(3, 12, 4242);
+  std::array<std::byte, kPageSize> bytes;
+  MaterializePage(memory.Seed(3), bytes);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
+                         memory.PageBytes(3).begin()));
+}
+
+TEST(WriteBurst, OutOfRangePageThrows) {
+  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
+  EXPECT_THROW(memory.WriteBurst(memory.PageCount(), 3, 1), CheckFailure);
+  EXPECT_THROW(memory.WriteBurst(memory.PageCount(), 0, 1), CheckFailure);
+  EXPECT_EQ(memory.TotalWrites(), 0u);
 }
 
 // --- Digest semantics across modes. ---
@@ -200,6 +247,23 @@ TEST(DigestCache, WritePageInvalidates) {
     const auto after = memory.PageDigest(0);
     EXPECT_NE(before, after);
     EXPECT_EQ(after, HonestDigest(memory, 0));
+  }
+}
+
+TEST(DigestCache, WriteBurstInvalidates) {
+  for (const auto mode :
+       {ContentMode::kSeedOnly, ContentMode::kMaterialized}) {
+    GuestMemory memory(MiB(1), mode);
+    memory.WritePage(0, 111);
+    const auto before = memory.PageDigest(0);
+    const auto hash_before = memory.ContentHash64(0);
+    memory.WriteBurst(0, 5, 222);
+    const auto misses = memory.DigestCacheMisses();
+    const auto after = memory.PageDigest(0);
+    EXPECT_EQ(memory.DigestCacheMisses(), misses + 1);
+    EXPECT_NE(before, after);
+    EXPECT_EQ(after, HonestDigest(memory, 0));
+    EXPECT_NE(memory.ContentHash64(0), hash_before);
   }
 }
 
@@ -470,6 +534,229 @@ TEST(CompositeWorkload, RunsAllParts) {
   composite.Add(std::make_unique<UniformRandomWorkload>(20.0, 2));
   composite.Advance(memory, Seconds(10.0));
   EXPECT_EQ(memory.TotalWrites(), 300u);
+}
+
+// --- Per-page write counts vs the per-write loop. ---
+//
+// Idle, Uniform and Hotspot workloads draw how many of an interval's
+// writes land on each page and apply each page's count as a WriteBurst.
+// The reference below is the per-write loop they replaced: one page draw
+// and one WritePage per write. Both must agree in distribution on what
+// the rest of the simulator can observe — which pages are dirty, how
+// many writes each took — and exactly on the write totals.
+
+enum class Writer { kIdle, kUniform, kHotspot };
+
+constexpr std::uint64_t kEquivPages = 1024;  // 4 MiB
+constexpr std::uint64_t kEquivHotPages = 256;
+
+std::unique_ptr<Workload> MakeWriter(Writer writer, double hot_probability,
+                                     double rate, std::uint64_t seed) {
+  switch (writer) {
+    case Writer::kIdle:
+      return std::make_unique<IdleWorkload>(IdleWorkload::Config{
+          .write_rate_pages_per_s = rate,
+          .hot_region_pages = kEquivHotPages,
+          .seed = seed});
+    case Writer::kUniform:
+      return std::make_unique<UniformRandomWorkload>(rate, seed);
+    case Writer::kHotspot:
+      return std::make_unique<HotspotWorkload>(HotspotWorkload::Config{
+          .write_rate_pages_per_s = rate,
+          .hot_fraction = static_cast<double>(kEquivHotPages) / kEquivPages,
+          .hot_probability = hot_probability,
+          .seed = seed});
+  }
+  return nullptr;
+}
+
+std::uint64_t ReferenceFreshSeed(Xoshiro256& rng) {
+  std::uint64_t s;
+  do {
+    s = rng.Next() & ~(1ull << 63);
+  } while (s == kZeroPageSeed);
+  return s;
+}
+
+/// The per-write loop: `writes` single-page writes, exactly as the
+/// workloads applied them before per-page counts.
+void ReferenceWrites(Writer writer, double hot_probability,
+                     std::uint64_t writes, Xoshiro256& rng,
+                     GuestMemory& memory) {
+  const std::uint64_t n = memory.PageCount();
+  for (std::uint64_t i = 0; i < writes; ++i) {
+    PageId page = 0;
+    switch (writer) {
+      case Writer::kIdle:
+        page = rng.NextBelow(kEquivHotPages);
+        break;
+      case Writer::kUniform:
+        page = rng.NextBelow(n);
+        break;
+      case Writer::kHotspot:
+        page = rng.NextBool(hot_probability) ? rng.NextBelow(kEquivHotPages)
+                                             : rng.NextBelow(n);
+        break;
+    }
+    memory.WritePage(page, ReferenceFreshSeed(rng));
+  }
+}
+
+/// What one interval's writes look like from outside the workload.
+struct WriteShape {
+  double touched = 0;      ///< pages with a nonzero generation
+  double hot_share = 0;    ///< fraction of those below kEquivHotPages
+  double max_count = 0;    ///< largest per-page write count
+};
+
+struct Moments {
+  double mean = 0;
+  double variance = 0;
+};
+
+Moments MomentsOf(const std::vector<double>& xs) {
+  Moments m;
+  for (const double x : xs) m.mean += x;
+  m.mean /= static_cast<double>(xs.size());
+  for (const double x : xs) m.variance += (x - m.mean) * (x - m.mean);
+  m.variance /= static_cast<double>(xs.size() - 1);
+  return m;
+}
+
+WriteShape ShapeOf(const GuestMemory& memory) {
+  WriteShape shape;
+  std::uint64_t hot = 0;
+  for (PageId page = 0; page < memory.PageCount(); ++page) {
+    const std::uint64_t count = memory.Generation(page);
+    if (count == 0) continue;
+    shape.touched += 1;
+    if (page < kEquivHotPages) ++hot;
+    shape.max_count = std::max(shape.max_count, static_cast<double>(count));
+  }
+  shape.hot_share = shape.touched > 0 ? static_cast<double>(hot) / shape.touched
+                                      : 0.0;
+  return shape;
+}
+
+/// Means agree within 5 standard errors of their difference (plus a
+/// small floor for near-constant statistics); variances within 2x.
+void ExpectSameDistribution(const std::vector<double>& fast,
+                            const std::vector<double>& reference,
+                            const char* what) {
+  const Moments f = MomentsOf(fast);
+  const Moments r = MomentsOf(reference);
+  const double se =
+      std::sqrt((f.variance + r.variance) / static_cast<double>(fast.size()));
+  EXPECT_NEAR(f.mean, r.mean, 5.0 * se + 1e-3 * std::fabs(r.mean) + 1e-9)
+      << what;
+  if (r.variance > 1e-6 || f.variance > 1e-6) {
+    EXPECT_GT(f.variance, 0.5 * r.variance) << what;
+    EXPECT_LT(f.variance, 2.0 * r.variance) << what;
+  }
+}
+
+struct EquivalenceCase {
+  Writer writer;
+  double hot_probability;
+  std::uint64_t writes;
+};
+
+class PageWriteCounts : public ::testing::TestWithParam<EquivalenceCase> {};
+
+TEST_P(PageWriteCounts, MatchThePerWriteLoopInDistribution) {
+  const auto [writer, hot_probability, writes] = GetParam();
+  constexpr int kSeeds = 240;
+  std::vector<double> touched[2], hot_share[2], max_count[2];
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    // Per-page counts through the workload.
+    GuestMemory fast(Pages(kEquivPages), ContentMode::kSeedOnly);
+    MakeWriter(writer, hot_probability, static_cast<double>(writes),
+               static_cast<std::uint64_t>(seed))
+        ->Advance(fast, Seconds(1.0));
+    // Exact invariants: the write total, the per-page generation deltas,
+    // and the region the writes may land in.
+    ASSERT_EQ(fast.TotalWrites(), writes);
+    std::uint64_t generation_sum = 0;
+    for (PageId page = 0; page < fast.PageCount(); ++page) {
+      const std::uint64_t delta = fast.Generation(page);
+      generation_sum += delta;
+      const bool confined = writer == Writer::kIdle ||
+                            (writer == Writer::kHotspot &&
+                             hot_probability == 1.0);
+      if (confined && page >= kEquivHotPages) {
+        ASSERT_EQ(delta, 0u) << "page " << page << " outside the region";
+      }
+      ASSERT_EQ(delta == 0, fast.Seed(page) == kZeroPageSeed);
+    }
+    ASSERT_EQ(generation_sum, writes);
+
+    GuestMemory reference(Pages(kEquivPages), ContentMode::kSeedOnly);
+    Xoshiro256 rng(static_cast<std::uint64_t>(seed) + 0x5eed0000);
+    ReferenceWrites(writer, hot_probability, writes, rng, reference);
+
+    int i = 0;
+    for (const GuestMemory* memory : {&fast, &reference}) {
+      const WriteShape shape = ShapeOf(*memory);
+      touched[i].push_back(shape.touched);
+      hot_share[i].push_back(shape.hot_share);
+      max_count[i].push_back(shape.max_count);
+      ++i;
+    }
+  }
+  ExpectSameDistribution(touched[0], touched[1], "touched pages");
+  ExpectSameDistribution(hot_share[0], hot_share[1], "hot-region share");
+  ExpectSameDistribution(max_count[0], max_count[1], "max per-page writes");
+}
+
+std::string EquivalenceCaseName(
+    const ::testing::TestParamInfo<EquivalenceCase>& info) {
+  std::string name = info.param.writer == Writer::kIdle      ? "idle"
+                     : info.param.writer == Writer::kUniform ? "uniform"
+                                                             : "hotspot";
+  return name + "_p" +
+         std::to_string(static_cast<int>(info.param.hot_probability * 100)) +
+         "_w" + std::to_string(info.param.writes);
+}
+
+// Sparse: fewer writes than the region has pages (pages drawn directly).
+// Dense: several to many writes per page (conditional binomials).
+INSTANTIATE_TEST_SUITE_P(
+    Writers, PageWriteCounts,
+    ::testing::Values(EquivalenceCase{Writer::kIdle, 0.0, 100},
+                      EquivalenceCase{Writer::kIdle, 0.0, 768},
+                      EquivalenceCase{Writer::kIdle, 0.0, 20000},
+                      EquivalenceCase{Writer::kUniform, 0.0, 300},
+                      EquivalenceCase{Writer::kUniform, 0.0, 3000},
+                      EquivalenceCase{Writer::kUniform, 0.0, 40000},
+                      EquivalenceCase{Writer::kHotspot, 0.0, 300},
+                      EquivalenceCase{Writer::kHotspot, 0.0, 20000},
+                      EquivalenceCase{Writer::kHotspot, 0.9, 200},
+                      EquivalenceCase{Writer::kHotspot, 0.9, 1500},
+                      EquivalenceCase{Writer::kHotspot, 0.9, 20000},
+                      EquivalenceCase{Writer::kHotspot, 1.0, 200},
+                      EquivalenceCase{Writer::kHotspot, 1.0, 20000}),
+    EquivalenceCaseName);
+
+TEST(PageWriteCounts, TotalWritesFollowTheRateAcrossUnevenSteps) {
+  // Millisecond-scale steps as pre-copy rounds take them: the fractional
+  // carry must add up to exactly the per-step floor sum.
+  constexpr double kRate = 1234.5;
+  for (const Writer writer :
+       {Writer::kIdle, Writer::kUniform, Writer::kHotspot}) {
+    GuestMemory memory(Pages(kEquivPages), ContentMode::kSeedOnly);
+    auto workload = MakeWriter(writer, 0.9, kRate, 17);
+    double carry = 0.0;
+    std::uint64_t expected = 0;
+    for (int step = 0; step < 500; ++step) {
+      const SimDuration dt = Milliseconds(3.7 + 0.013 * step);
+      const double exact = kRate * ToSeconds(dt) + carry;
+      const double whole = std::floor(exact);
+      carry = exact - whole;
+      expected += static_cast<std::uint64_t>(whole);
+      workload->Advance(memory, dt);
+      ASSERT_EQ(memory.TotalWrites(), expected);
+    }
+  }
 }
 
 }  // namespace
