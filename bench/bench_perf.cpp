@@ -1,7 +1,7 @@
 // Wall-clock performance harness for the hot paths this repo's benches
-// lean on: page hashing (uncached vs memoized), digest-set construction
-// and membership probing (flat hash set vs the sorted-vector baseline it
-// replaced), simulator event throughput, and the full six-strategy
+// lean on: page hashing (real MD5 vs the seed-mode mix), digest-set
+// construction and membership probing (flat hash set vs the sorted-vector
+// baseline it replaced), simulator event throughput, and the full six-strategy
 // migration sweep of bench_fig5. Workloads are deterministic (fixed
 // seeds, fixed iteration counts); only the measured wall time varies by
 // machine. Emits BENCH_perf.json for tools/bench_compare.py.
@@ -19,7 +19,6 @@
 #include "core/cluster.hpp"
 #include "core/scheduler.hpp"
 #include "core/vm_instance.hpp"
-#include "digest/digest_memo.hpp"
 #include "digest/digest_set.hpp"
 #include "digest/hasher.hpp"
 #include "sim/simulator.hpp"
@@ -85,10 +84,11 @@ Result BenchPageHashMaterialized() {
                          vm::ContentMode::kMaterialized);
   Xoshiro256 rng(7);
   for (vm::PageId p = 0; p < kPages; ++p) memory.WritePage(p, rng.Next());
-  memory.SetDigestCacheEnabled(false);  // honest MD5 per call
+  // Honest MD5 per call: hash the page bytes directly, past the memo.
   return Measure("page_hash_materialized", kPages, kPageSize, 10, [&] {
     for (vm::PageId p = 0; p < kPages; ++p) {
-      volatile std::uint64_t sink = memory.PageDigest(p).words[0];
+      volatile std::uint64_t sink =
+          ComputeDigest(memory.Algorithm(), memory.PageBytes(p)).words[0];
       (void)sink;
     }
   });
@@ -100,23 +100,7 @@ Result BenchPageHashSeed() {
                          vm::ContentMode::kSeedOnly);
   Xoshiro256 rng(7);
   for (vm::PageId p = 0; p < kPages; ++p) memory.WritePage(p, rng.Next());
-  memory.SetDigestCacheEnabled(false);
   return Measure("page_hash_seed", kPages, 0, 10, [&] {
-    for (vm::PageId p = 0; p < kPages; ++p) {
-      volatile std::uint64_t sink = memory.PageDigest(p).words[0];
-      (void)sink;
-    }
-  });
-}
-
-Result BenchPageDigestCached() {
-  constexpr std::uint64_t kPages = 65536;
-  vm::GuestMemory memory(Bytes{kPages * kPageSize},
-                         vm::ContentMode::kSeedOnly);
-  Xoshiro256 rng(7);
-  for (vm::PageId p = 0; p < kPages; ++p) memory.WritePage(p, rng.Next());
-  for (vm::PageId p = 0; p < kPages; ++p) (void)memory.PageDigest(p);
-  return Measure("page_digest_cached", kPages, 0, 10, [&] {
     for (vm::PageId p = 0; p < kPages; ++p) {
       volatile std::uint64_t sink = memory.PageDigest(p).words[0];
       (void)sink;
@@ -287,13 +271,11 @@ int main(int argc, char** argv) {
   std::vector<Result> results;
   results.push_back(BenchPageHashMaterialized());
   results.push_back(BenchPageHashSeed());
-  results.push_back(BenchPageDigestCached());
   results.push_back(BenchDigestSetBuild());
   results.push_back(BenchDigestSetProbe(/*hit=*/true));
   results.push_back(BenchDigestSetProbe(/*hit=*/false));
   results.push_back(BenchSortedVectorProbe());
   results.push_back(BenchSimulatorEvents());
-  SeedDigestMemo::Instance().Clear();  // sweep warms its own memo
   results.push_back(BenchMigrationSweep());
   results.push_back(BenchFleetSweep());
 

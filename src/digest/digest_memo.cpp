@@ -6,11 +6,8 @@ namespace vecycle {
 
 namespace {
 // +1 keeps every real tag away from 0, the free-slot marker.
-std::uint16_t TagOf(DigestAlgorithm algorithm,
-                    SeedDigestMemo::Flavor flavor) {
-  return static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(algorithm) + 1) |
-      (static_cast<std::uint16_t>(flavor) << 8));
+std::uint16_t TagOf(DigestAlgorithm algorithm) {
+  return static_cast<std::uint16_t>(static_cast<unsigned>(algorithm) + 1);
 }
 }  // namespace
 
@@ -26,13 +23,12 @@ std::uint64_t SeedDigestMemo::ProbeStart(std::uint64_t seed,
 }
 
 std::optional<Digest128> SeedDigestMemo::Find(DigestAlgorithm algorithm,
-                                              Flavor flavor,
                                               std::uint64_t seed) {
   if (slots_.empty()) {
     ++misses_;
     return std::nullopt;
   }
-  const std::uint16_t tag = TagOf(algorithm, flavor);
+  const std::uint16_t tag = TagOf(algorithm);
   for (std::uint64_t i = ProbeStart(seed, tag);; i = (i + 1) & mask_) {
     const Slot& slot = slots_[i];
     if (slot.tag == 0) {
@@ -46,11 +42,11 @@ std::optional<Digest128> SeedDigestMemo::Find(DigestAlgorithm algorithm,
   }
 }
 
-void SeedDigestMemo::Store(DigestAlgorithm algorithm, Flavor flavor,
-                           std::uint64_t seed, const Digest128& digest) {
+void SeedDigestMemo::Store(DigestAlgorithm algorithm, std::uint64_t seed,
+                           const Digest128& digest) {
   if (size_ >= kMaxEntries) return;
   if (slots_.empty() || (size_ + 1) * 2 > slots_.size()) Grow();
-  const std::uint16_t tag = TagOf(algorithm, flavor);
+  const std::uint16_t tag = TagOf(algorithm);
   for (std::uint64_t i = ProbeStart(seed, tag);; i = (i + 1) & mask_) {
     Slot& slot = slots_[i];
     if (slot.tag == 0) {

@@ -1,21 +1,19 @@
-// Process-wide (per-thread) memo of seed-determined page digests.
+// Process-wide (per-thread) memo of materialized page digests.
 //
 // Guest page content in this simulation is a pure function of the page's
-// content seed: GuestMemory materializes page bytes from the seed, and
-// checkpoints store the seed itself. A page digest is therefore a pure
-// function of (algorithm, expansion flavor, seed) — yet distinct
-// GuestMemory and Checkpoint objects keep re-hashing identical content,
-// because every migration leg builds a fresh destination memory and a
-// fresh checkpoint over the very seeds the source just hashed. The
-// per-object generation-keyed caches cannot see across objects; this
-// table can. Results are bit-identical by construction (the computation
-// is pure), only wall-clock time changes — simulated CPU time is charged
-// by the ChecksumEngine and is unaffected.
+// content seed, so the real MD5/SHA of a materialized 4 KiB page is a pure
+// function of (algorithm, seed). Every migration leg builds a fresh
+// destination memory and a fresh checkpoint index over the very seeds the
+// source just hashed; this table lets each distinct content be hashed once
+// per thread instead of once per object and pass. It is the only digest
+// cache in the library: seed-mode digests are a pure mix and need none.
+// Results are bit-identical by construction (the computation is pure),
+// only wall-clock time changes — simulated CPU time is charged by the
+// ChecksumEngine and is unaffected.
 //
-// The table is thread_local: the simulator is single-threaded, and a
-// per-thread flat open-addressing map keeps a lookup at one or two cache
-// lines with no synchronization on the hot path. Threads simply build
-// independent memos.
+// The table is thread_local: a per-thread flat open-addressing map keeps a
+// lookup at one or two cache lines with no synchronization on the hot
+// path. Threads simply build independent memos.
 #pragma once
 
 #include <cstdint>
@@ -28,24 +26,17 @@ namespace vecycle {
 
 class SeedDigestMemo {
  public:
-  /// How a seed expands into the bytes that were hashed; part of the key.
-  enum class Flavor : std::uint8_t {
-    kSeedBytes = 0,     ///< digest of the 8 seed bytes (seed-only mode)
-    kMaterialized = 1,  ///< digest of the 4 KiB page the seed generates
-  };
-
   /// The calling thread's memo.
   static SeedDigestMemo& Instance();
 
-  /// Cached digest for (algorithm, flavor, seed), or nullopt on a miss.
+  /// Cached digest for (algorithm, seed), or nullopt on a miss.
   [[nodiscard]] std::optional<Digest128> Find(DigestAlgorithm algorithm,
-                                              Flavor flavor,
                                               std::uint64_t seed);
 
   /// Records a computed digest. No-op once the table holds kMaxEntries
   /// (a bound, not an eviction policy: long processes stop growing the
   /// table and simply compute the tail honestly).
-  void Store(DigestAlgorithm algorithm, Flavor flavor, std::uint64_t seed,
+  void Store(DigestAlgorithm algorithm, std::uint64_t seed,
              const Digest128& digest);
 
   [[nodiscard]] std::uint64_t Hits() const { return hits_; }
@@ -60,7 +51,7 @@ class SeedDigestMemo {
  private:
   struct Slot {
     std::uint64_t seed = 0;
-    std::uint16_t tag = 0;  // algorithm low byte, flavor high byte; 0=free
+    std::uint16_t tag = 0;  // algorithm + 1; 0 = free
     Digest128 digest;
   };
 

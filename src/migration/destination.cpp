@@ -48,7 +48,7 @@ SimTime DestinationActor::Prepare(SimTime start, bool send_bulk_hashes) {
           params_.cpu->Hash(start, image, params_.config.algorithm);
       hashed_bytes_ += image;
       ready = std::max(ready, hashed);
-      index_ = storage::ChecksumIndex::Build(*checkpoint_,
+      index_ = storage::ChecksumIndex::Build(*checkpoint_, params_.mode,
                                              params_.config.algorithm);
     }
     checkpoint_->RestoreInto(*memory_);
@@ -252,8 +252,8 @@ void DestinationActor::ApplyRecord(const net::PageRecord& record,
   const std::uint64_t seed = checkpoint_->SeedAt(*offset);
   // Cross-check the protocol invariant: the checkpoint block the index
   // points at really carries the content the source named.
-  VEC_CHECK_MSG(checkpoint_->DigestAt(*offset, params_.config.algorithm) ==
-                    record.digest,
+  VEC_CHECK_MSG(vm::ContentDigest(params_.mode, params_.config.algorithm,
+                                  seed) == record.digest,
                 "checkpoint block does not carry the content its index "
                 "entry promises");
   memory_->WritePage(record.page, seed);

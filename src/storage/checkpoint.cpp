@@ -4,8 +4,6 @@
 #include <fstream>
 
 #include "common/check.hpp"
-#include "digest/digest_memo.hpp"
-#include "digest/hasher.hpp"
 #include "digest/md5.hpp"
 
 namespace vecycle::storage {
@@ -22,22 +20,14 @@ Checkpoint Checkpoint::CaptureFrom(const vm::GuestMemory& memory) {
 }
 
 Digest128 Checkpoint::ImageDigest() const {
-  if (image_digest_cached_) return image_digest_cache_;
+  if (image_digest_known_) return image_digest_memo_;
   Md5 md5;
   md5.Update(seeds_.data(), seeds_.size() * sizeof(std::uint64_t));
   md5.Update(generations_.data(),
              generations_.size() * sizeof(std::uint64_t));
-  image_digest_cache_ = md5.Finalize();
-  image_digest_cached_ = true;
-  return image_digest_cache_;
-}
-
-void Checkpoint::InvalidateDigestCaches() {
-  page_digest_cache_.clear();
-  page_digest_cache_.shrink_to_fit();
-  page_digest_tag_.clear();
-  page_digest_tag_.shrink_to_fit();
-  image_digest_cached_ = false;
+  image_digest_memo_ = md5.Finalize();
+  image_digest_known_ = true;
+  return image_digest_memo_;
 }
 
 void Checkpoint::CorruptPageForTesting(vm::PageId page,
@@ -45,8 +35,8 @@ void Checkpoint::CorruptPageForTesting(vm::PageId page,
   VEC_CHECK_MSG(page < seeds_.size(), "corruption target out of range");
   seeds_[page] = bad_seed;  // deliberately leaves captured_digest_ stale
   // The corrupted content must be re-hashed like a real disk error would
-  // be: only captured_digest_ stays stale, not the computed digests.
-  InvalidateDigestCaches();
+  // be: only captured_digest_ stays stale, not the computed digest.
+  image_digest_known_ = false;
 }
 
 std::uint64_t Checkpoint::SeedAt(vm::PageId page) const {
@@ -57,31 +47,6 @@ std::uint64_t Checkpoint::SeedAt(vm::PageId page) const {
 std::uint64_t Checkpoint::GenerationAt(vm::PageId page) const {
   VEC_CHECK_MSG(page < generations_.size(), "checkpoint page out of range");
   return generations_[page];
-}
-
-Digest128 Checkpoint::DigestAt(vm::PageId page,
-                               DigestAlgorithm algorithm) const {
-  const std::uint64_t seed = SeedAt(page);
-  const std::uint64_t tag = static_cast<std::uint64_t>(algorithm) + 1;
-  if (page_digest_tag_.empty()) {
-    page_digest_cache_.resize(seeds_.size());
-    page_digest_tag_.assign(seeds_.size(), 0);
-  }
-  if (page_digest_tag_[page] == tag) return page_digest_cache_[page];
-  // Checkpoint blocks hash the stored seed bytes, the same expansion a
-  // seed-only GuestMemory uses — both share one memo entry per seed.
-  Digest128 digest;
-  if (const auto hit = SeedDigestMemo::Instance().Find(
-          algorithm, SeedDigestMemo::Flavor::kSeedBytes, seed)) {
-    digest = *hit;
-  } else {
-    digest = ComputeDigest(algorithm, &seed, sizeof(seed));
-    SeedDigestMemo::Instance().Store(
-        algorithm, SeedDigestMemo::Flavor::kSeedBytes, seed, digest);
-  }
-  page_digest_cache_[page] = digest;
-  page_digest_tag_[page] = tag;
-  return digest;
 }
 
 void Checkpoint::RestoreInto(vm::GuestMemory& memory) const {

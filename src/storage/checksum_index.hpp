@@ -21,9 +21,11 @@ class ChecksumIndex {
  public:
   ChecksumIndex() = default;
 
-  /// Builds the index from every page of `checkpoint` under `algorithm`.
+  /// Builds the index from every page of `checkpoint`: the ContentDigest
+  /// of each stored seed under the migrating memory's `mode` and
+  /// `algorithm`, so lookups match the digests that memory's pages carry.
   static ChecksumIndex Build(const Checkpoint& checkpoint,
-                             DigestAlgorithm algorithm);
+                             vm::ContentMode mode, DigestAlgorithm algorithm);
 
   /// Builds from explicit (digest, page) pairs — used by the source to
   /// remember the page set it saw during a previous incoming migration.

@@ -1,5 +1,6 @@
 #include "vm/guest_memory.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -20,6 +21,28 @@ void MaterializePage(std::uint64_t seed, std::span<std::byte> out) {
     const std::uint64_t word = rng.Next();
     std::memcpy(p + i, &word, 8);
   }
+}
+
+Digest128 ContentDigest(ContentMode mode, DigestAlgorithm algorithm,
+                        std::uint64_t seed, std::span<const std::byte> image) {
+  if (mode == ContentMode::kSeedOnly) {
+    // Odd multiplier: distinct algorithms give distinct salts.
+    const std::uint64_t salt =
+        (static_cast<std::uint64_t>(algorithm) + 1) * 0x9e3779b97f4a7c15ull;
+    return Digest128::FromWords(SplitMix64(seed + 1).Next(),
+                                SplitMix64(seed ^ salt).Next());
+  }
+  auto& memo = SeedDigestMemo::Instance();
+  if (const auto hit = memo.Find(algorithm, seed)) return *hit;
+  std::array<std::byte, kPageSize> expanded;
+  if (image.empty()) {
+    MaterializePage(seed, expanded);
+    image = expanded;
+  }
+  VEC_CHECK(image.size() == kPageSize);
+  const Digest128 digest = ComputeDigest(algorithm, image);
+  memo.Store(algorithm, seed, digest);
+  return digest;
 }
 
 GuestMemory::GuestMemory(Bytes ram_size, ContentMode mode,
@@ -72,106 +95,21 @@ std::uint64_t GuestMemory::Generation(PageId page) const {
 void GuestMemory::SetGenerations(std::vector<std::uint64_t> generations) {
   VEC_CHECK_MSG(generations.size() == seeds_.size(),
                 "generation vector does not match memory geometry");
-  // Content is untouched, so digests cached at the *current* counter stay
-  // correct — but their keys reference the outgoing counters. Re-stamp
-  // only those still-valid entries onto the new counters (keeping the
-  // cache warm across a migration handoff, where the destination adopts
-  // the source's counters). Entries cached at an older generation and
-  // already invalidated by a later write must be dropped, not re-stamped:
-  // re-stamping would resurrect a digest of overwritten content.
-  if (!digest_cache_key_.empty()) {
-    for (std::size_t i = 0; i < generations.size(); ++i) {
-      digest_cache_key_[i] = digest_cache_key_[i] == generations_[i] + 1
-                                 ? generations[i] + 1
-                                 : 0;
-    }
-  }
-  if (!hash64_cache_key_.empty()) {
-    for (std::size_t i = 0; i < generations.size(); ++i) {
-      hash64_cache_key_[i] = hash64_cache_key_[i] == generations_[i] + 1
-                                 ? generations[i] + 1
-                                 : 0;
-    }
-  }
   generations_ = std::move(generations);
-}
-
-void GuestMemory::SetDigestCacheEnabled(bool enabled) {
-  cache_enabled_ = enabled;
-  if (!enabled) {
-    digest_cache_.clear();
-    digest_cache_.shrink_to_fit();
-    digest_cache_key_.clear();
-    digest_cache_key_.shrink_to_fit();
-    hash64_cache_.clear();
-    hash64_cache_.shrink_to_fit();
-    hash64_cache_key_.clear();
-    hash64_cache_key_.shrink_to_fit();
-  }
-}
-
-Digest128 GuestMemory::ComputePageDigest(PageId page) const {
-  const std::uint64_t seed = seeds_[page];
-  const auto flavor = mode_ == ContentMode::kMaterialized
-                          ? SeedDigestMemo::Flavor::kMaterialized
-                          : SeedDigestMemo::Flavor::kSeedBytes;
-  if (cache_enabled_) {
-    // Page content is a pure function of the seed in both modes, so the
-    // process-wide memo applies; it is what lets a fresh destination
-    // memory skip re-hashing content some other object already hashed.
-    if (const auto hit =
-            SeedDigestMemo::Instance().Find(algorithm_, flavor, seed)) {
-      return *hit;
-    }
-  }
-  Digest128 digest;
-  if (mode_ == ContentMode::kMaterialized) {
-    digest = ComputeDigest(algorithm_, backing_.data() + page * kPageSize,
-                           kPageSize);
-  } else {
-    digest = ComputeDigest(algorithm_, &seed, sizeof(seed));
-  }
-  if (cache_enabled_) {
-    SeedDigestMemo::Instance().Store(algorithm_, flavor, seed, digest);
-  }
-  return digest;
 }
 
 Digest128 GuestMemory::PageDigest(PageId page) const {
   CheckPage(page);
-  if (!cache_enabled_) return ComputePageDigest(page);
-  if (digest_cache_key_.empty()) {
-    digest_cache_.resize(seeds_.size());
-    digest_cache_key_.assign(seeds_.size(), 0);
+  if (mode_ == ContentMode::kSeedOnly) {
+    return ContentDigest(mode_, algorithm_, seeds_[page]);
   }
-  const std::uint64_t key = generations_[page] + 1;
-  if (digest_cache_key_[page] == key) {
-    ++cache_hits_;
-    return digest_cache_[page];
-  }
-  ++cache_misses_;
-  const Digest128 digest = ComputePageDigest(page);
-  digest_cache_[page] = digest;
-  digest_cache_key_[page] = key;
-  return digest;
+  return ContentDigest(mode_, algorithm_, seeds_[page], PageBytes(page));
 }
 
 std::uint64_t GuestMemory::ContentHash64(PageId page) const {
   CheckPage(page);
-  // SplitMix64 of the seed: a perfect (bijective) 64-bit mixer, so distinct
-  // seeds can never collide, and identical content always matches. The +1
-  // keeps the zero page away from SplitMix64(0)'s fixed structure.
-  if (!cache_enabled_) return SplitMix64(seeds_[page] + 1).Next();
-  if (hash64_cache_key_.empty()) {
-    hash64_cache_.resize(seeds_.size());
-    hash64_cache_key_.assign(seeds_.size(), 0);
-  }
-  const std::uint64_t key = generations_[page] + 1;
-  if (hash64_cache_key_[page] == key) return hash64_cache_[page];
-  const std::uint64_t hash = SplitMix64(seeds_[page] + 1).Next();
-  hash64_cache_[page] = hash;
-  hash64_cache_key_[page] = key;
-  return hash;
+  return ContentDigest(ContentMode::kSeedOnly, algorithm_, seeds_[page])
+      .words[0];
 }
 
 void GuestMemory::ReadPage(PageId page, std::span<std::byte> out) const {

@@ -9,11 +9,16 @@
 //
 //  * kSeedOnly   — only the seed vector is stored (8 B/page instead of
 //                  4 KiB/page), letting benches model 6 GiB VMs (1.57 M
-//                  pages) in ~12 MiB. Digests are computed over the seed.
+//                  pages) in ~12 MiB. A page digest is a bijective mix of
+//                  the seed: collision-free, and free to compute.
 //  * kMaterialized — a real 4 KiB byte image per page, deterministically
-//                  expanded from the seed. Digests are computed over the
-//                  bytes, and integration tests use this mode to prove the
-//                  migration protocol reconstructs memory byte-for-byte.
+//                  expanded from the seed. Digests are real MD5/SHA over
+//                  the bytes, and integration tests use this mode to prove
+//                  the migration protocol reconstructs memory byte-for-byte.
+//
+// ContentDigest() is the one definition of page content identity in both
+// modes; GuestMemory, checkpoint indexes and the destination's cross-checks
+// all name content through it.
 //
 // Writes bump a per-page generation counter, which is exactly the dirty
 // tracking state Miyakodori keeps (§4.3). A generation counts writes, not
@@ -46,6 +51,20 @@ enum class ContentMode { kSeedOnly, kMaterialized };
 /// Seed 0 expands to all zeros. Equal seeds always expand to equal bytes,
 /// and (for practical purposes) distinct seeds to distinct bytes.
 void MaterializePage(std::uint64_t seed, std::span<std::byte> out);
+
+/// The identity of the page content `seed` generates, under `algorithm`.
+///  * kSeedOnly: words[0] = SplitMix64(seed + 1) — ContentHash64 — and
+///    words[1] = SplitMix64 of the seed salted by the algorithm. Injective
+///    in (seed, algorithm), so it never collides; simulated checksum cost
+///    is charged by sim::ChecksumEngine, not by this computation.
+///  * kMaterialized: the real digest of the 4 KiB page image, memoized per
+///    (algorithm, seed) in SeedDigestMemo. On a miss it hashes `image`
+///    when the caller holds the page's bytes, and otherwise expands them
+///    from the seed.
+[[nodiscard]] Digest128 ContentDigest(ContentMode mode,
+                                      DigestAlgorithm algorithm,
+                                      std::uint64_t seed,
+                                      std::span<const std::byte> image = {});
 
 class GuestMemory {
  public:
@@ -100,35 +119,13 @@ class GuestMemory {
   /// Total writes ever applied; cheap global change detector for tests.
   [[nodiscard]] std::uint64_t TotalWrites() const { return total_writes_; }
 
-  /// Strong digest of the page's content with the configured algorithm.
-  /// In kMaterialized mode this hashes the real 4 KiB image; in kSeedOnly
-  /// mode it hashes the 8-byte seed — equal-iff-equal-content either way.
-  ///
-  /// Memoized per page, keyed on the generation counter: re-digesting an
-  /// unmodified page (every strategy sweep, every migration round, the
-  /// post-migration incoming-digest scan) is a cache hit instead of a
-  /// fresh MD5. Writes invalidate by bumping the generation;
-  /// SetGenerations re-stamps valid entries (content is unchanged there).
+  /// ContentDigest of the page under this memory's mode and algorithm;
+  /// in kMaterialized mode a memo miss hashes the page's own bytes.
   [[nodiscard]] Digest128 PageDigest(PageId page) const;
 
-  /// Fast 64-bit content hash for fingerprinting and analysis. Collision
-  /// probability over millions of pages is negligible for statistics.
-  /// Memoized with the same generation-keyed scheme as PageDigest.
+  /// 64-bit content hash for fingerprinting and analysis: words[0] of the
+  /// seed-mode ContentDigest, in both modes.
   [[nodiscard]] std::uint64_t ContentHash64(PageId page) const;
-
-  /// Toggles digest/hash memoization (on by default). Disabling clears
-  /// the caches; results must be byte-identical either way — the switch
-  /// exists so tests and benches can prove exactly that, and so
-  /// memory-constrained million-page sweeps can opt out of the
-  /// 24 B/page cache footprint.
-  void SetDigestCacheEnabled(bool enabled);
-  [[nodiscard]] bool DigestCacheEnabled() const { return cache_enabled_; }
-
-  /// Memoization counters (benchmarks and cache tests).
-  [[nodiscard]] std::uint64_t DigestCacheHits() const { return cache_hits_; }
-  [[nodiscard]] std::uint64_t DigestCacheMisses() const {
-    return cache_misses_;
-  }
 
   /// Copies the page's (possibly expanded) bytes into `out` (4 KiB).
   void ReadPage(PageId page, std::span<std::byte> out) const;
@@ -148,7 +145,6 @@ class GuestMemory {
 
  private:
   void CheckPage(PageId page) const;
-  [[nodiscard]] Digest128 ComputePageDigest(PageId page) const;
 
   ContentMode mode_;
   DigestAlgorithm algorithm_;
@@ -156,20 +152,6 @@ class GuestMemory {
   std::vector<std::uint64_t> generations_;
   std::vector<std::byte> backing_;  // PageCount()*kPageSize in kMaterialized
   std::uint64_t total_writes_ = 0;
-
-  // Digest memoization. A cache entry is valid iff its key equals the
-  // page's current generation + 1 (0 = never cached); every write bumps
-  // the generation, so stale entries can never be observed. Vectors are
-  // allocated lazily on the first digest/hash call and are `mutable`
-  // because memoization does not change observable content (the simulator
-  // is single-threaded by design).
-  mutable std::vector<Digest128> digest_cache_;
-  mutable std::vector<std::uint64_t> digest_cache_key_;
-  mutable std::vector<std::uint64_t> hash64_cache_;
-  mutable std::vector<std::uint64_t> hash64_cache_key_;
-  mutable std::uint64_t cache_hits_ = 0;
-  mutable std::uint64_t cache_misses_ = 0;
-  bool cache_enabled_ = true;
 };
 
 /// Initial memory composition, following the structure the Memory Buddies

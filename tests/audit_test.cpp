@@ -12,6 +12,7 @@
 #include "audit/replay.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "digest/digest_memo.hpp"
 #include "migration/engine.hpp"
 #include "migration/postcopy.hpp"
 #include "storage/checkpoint.hpp"
@@ -114,8 +115,10 @@ struct TestBed {
   }
 };
 
-vm::GuestMemory RandomMemory(Bytes ram, std::uint64_t seed) {
-  vm::GuestMemory memory(ram, vm::ContentMode::kSeedOnly);
+vm::GuestMemory RandomMemory(
+    Bytes ram, std::uint64_t seed,
+    vm::ContentMode mode = vm::ContentMode::kSeedOnly) {
+  vm::GuestMemory memory(ram, mode);
   Xoshiro256 rng(seed);
   vm::MemoryProfile{}.Apply(memory, rng);
   return memory;
@@ -321,14 +324,15 @@ TEST(ReplayCheck, DetectsInjectedDivergence) {
   EXPECT_THROW(ReplayCheck::Verify(diverging), CheckFailure);
 }
 
-/// MigrationScenario with the source digest cache toggled and external
-/// trace/metrics sinks attached.
-std::uint64_t CachedMigrationScenario(SimAuditor& auditor, bool cache,
-                                      obs::TraceRecorder& tracer,
-                                      obs::MetricsRegistry& metrics) {
+/// MigrationScenario over materialized memory with external trace/metrics
+/// sinks attached. A `cold` run clears the calling thread's digest memo
+/// first; otherwise the memo is as the previous run left it.
+std::uint64_t MemoMigrationScenario(SimAuditor& auditor, bool cold,
+                                    obs::TraceRecorder& tracer,
+                                    obs::MetricsRegistry& metrics) {
+  if (cold) SeedDigestMemo::Instance().Clear();
   TestBed bed;
-  auto memory = RandomMemory(MiB(4), 17);
-  memory.SetDigestCacheEnabled(cache);
+  auto memory = RandomMemory(MiB(4), 17, vm::ContentMode::kMaterialized);
   const auto departure_generations = memory.Generations();
   bed.dst_store.Save("vm", storage::Checkpoint::CaptureFrom(memory),
                      kSimEpoch);
@@ -347,25 +351,28 @@ std::uint64_t CachedMigrationScenario(SimAuditor& auditor, bool cache,
 }
 
 TEST(ReplayCheck, DigestCachingInvisibleToAuditAndObservability) {
-  // Digest memoization must be a pure wall-clock optimization: the audit
-  // fingerprint (every event, message, and scalar) and the exported
-  // trace/metrics must be byte-identical with the caches on and off.
-  SimAuditor cached_auditor;
-  SimAuditor uncached_auditor;
-  obs::TraceRecorder cached_trace;
-  obs::TraceRecorder uncached_trace;
-  obs::MetricsRegistry cached_metrics;
-  obs::MetricsRegistry uncached_metrics;
+  // The materialized-digest memo must be a pure wall-clock optimization:
+  // the audit fingerprint (every event, message, and scalar) and the
+  // exported trace/metrics must be byte-identical whether every digest
+  // is hashed afresh (cold) or answered from the memo (warm).
+  SimAuditor cold_auditor;
+  SimAuditor warm_auditor;
+  obs::TraceRecorder cold_trace;
+  obs::TraceRecorder warm_trace;
+  obs::MetricsRegistry cold_metrics;
+  obs::MetricsRegistry warm_metrics;
 
-  const auto cached_fp = CachedMigrationScenario(
-      cached_auditor, /*cache=*/true, cached_trace, cached_metrics);
-  const auto uncached_fp = CachedMigrationScenario(
-      uncached_auditor, /*cache=*/false, uncached_trace, uncached_metrics);
+  const auto cold_fp = MemoMigrationScenario(cold_auditor, /*cold=*/true,
+                                             cold_trace, cold_metrics);
+  const auto warm_hits = SeedDigestMemo::Instance().Hits();
+  const auto warm_fp = MemoMigrationScenario(warm_auditor, /*cold=*/false,
+                                             warm_trace, warm_metrics);
+  EXPECT_GT(SeedDigestMemo::Instance().Hits(), warm_hits);
 
-  EXPECT_EQ(cached_fp, uncached_fp);
-  EXPECT_EQ(cached_auditor.Fingerprint(), uncached_auditor.Fingerprint());
-  EXPECT_EQ(cached_trace.ChromeTraceJson(), uncached_trace.ChromeTraceJson());
-  EXPECT_EQ(cached_metrics.ToJson("test"), uncached_metrics.ToJson("test"));
+  EXPECT_EQ(cold_fp, warm_fp);
+  EXPECT_EQ(cold_auditor.Fingerprint(), warm_auditor.Fingerprint());
+  EXPECT_EQ(cold_trace.ChromeTraceJson(), warm_trace.ChromeTraceJson());
+  EXPECT_EQ(cold_metrics.ToJson("test"), warm_metrics.ToJson("test"));
 }
 
 TEST(ReplayCheck, DetectsDivergenceInStatsAlone) {

@@ -263,27 +263,29 @@ TEST(HostConfigValidate, RejectsEachInvalidFieldDistinctly) {
   // A default HostConfig has an empty id, so the "mutation" is a no-op.
   messages.push_back(RejectionMessage<HostConfig>(
       [](auto&) {}, "host id must be non-empty"));
+  // The lambdas below assign the id from a std::string, not a literal:
+  // GCC 12 reports a false -Wrestrict on an inlined operator=(const char*).
   messages.push_back(RejectionMessage<HostConfig>(
       [](auto& c) {
-        c.id = "h";
+        c.id = std::string("h");
         c.retention.disk_quota = Bytes{1};
       },
       "retention disk_quota smaller than one checkpoint image"));
   messages.push_back(RejectionMessage<HostConfig>(
       [](auto& c) {
-        c.id = "h";
+        c.id = std::string("h");
         c.disk.sequential_read = MiBPerSecond(0.0);
       },
       "disk sequential_read rate must be positive"));
   messages.push_back(RejectionMessage<HostConfig>(
       [](auto& c) {
-        c.id = "h";
+        c.id = std::string("h");
         c.cpu.md5_rate = MiBPerSecond(0.0);
       },
       "checksum md5_rate must be positive"));
   messages.push_back(RejectionMessage<HostConfig>(
       [](auto& c) {
-        c.id = "h";
+        c.id = std::string("h");
         c.store.chunk_pages = 7;
       },
       "store chunk_pages must be a nonzero power of two"));

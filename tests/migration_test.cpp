@@ -243,6 +243,46 @@ TEST(Migration, HashesWithKnowledgeSkipsBulkExchange) {
   EXPECT_EQ(outcome.stats.bulk_exchange_bytes.count, 0u);
 }
 
+/// A 2 MiB VM whose content shifted down one frame since its checkpoint
+/// was taken at the destination, migrated with kHashes and no source
+/// knowledge: every moved page must be named by the source and served
+/// from the checkpoint through the index the destination built.
+MigrationStats RunShiftedReturn(vm::ContentMode mode,
+                                HashExchangeMode exchange) {
+  TestBed bed;
+  auto memory = RandomMemory(MiB(2), 60, mode);
+  bed.dst_store.Save("vm", storage::Checkpoint::CaptureFrom(memory),
+                     kSimEpoch);
+  const std::uint64_t first = memory.Seed(0);
+  for (vm::PageId p = 0; p + 1 < memory.PageCount(); ++p) {
+    memory.WritePage(p, memory.Seed(p + 1));
+  }
+  memory.WritePage(memory.PageCount() - 1, first);
+
+  MigrationConfig config;
+  config.strategy = Strategy::kHashes;
+  config.hash_exchange = exchange;
+  config.audit = true;
+  auto outcome = RunMigration(bed.MakeRun(memory, config));
+  EXPECT_EQ(outcome.dest_memory->Mode(), mode);
+  EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
+  return outcome.stats;
+}
+
+TEST(Migration, MaterializedCheckpointRecyclesLikeSeedMode) {
+  for (const auto exchange :
+       {HashExchangeMode::kBulk, HashExchangeMode::kPerPageQuery}) {
+    const auto seeded =
+        RunShiftedReturn(vm::ContentMode::kSeedOnly, exchange);
+    const auto materialized =
+        RunShiftedReturn(vm::ContentMode::kMaterialized, exchange);
+    EXPECT_GT(seeded.pages_from_checkpoint, 0u);
+    EXPECT_EQ(materialized.pages_sent_checksum, seeded.pages_sent_checksum);
+    EXPECT_EQ(materialized.pages_from_checkpoint,
+              seeded.pages_from_checkpoint);
+  }
+}
+
 TEST(Migration, HashesWithoutCheckpointDegradesToFull) {
   TestBed bed;
   auto memory = RandomMemory(MiB(8), 10);

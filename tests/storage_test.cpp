@@ -56,11 +56,25 @@ TEST(Checkpoint, SizeOnDiskIsFullImage) {
 }
 
 TEST(Checkpoint, DigestMatchesGuestMemory) {
-  auto memory = MakeMemory();
-  const auto cp = Checkpoint::CaptureFrom(memory);
-  for (vm::PageId page = 0; page < 16; ++page) {
-    EXPECT_EQ(cp.DigestAt(page, DigestAlgorithm::kMd5),
-              memory.PageDigest(page));
+  // The index a destination builds over a checkpoint must name content
+  // exactly as the migrating memory's pages do, in both content modes:
+  // a materialized page's real MD5 must find the checkpoint block that
+  // holds the same content.
+  for (const auto mode :
+       {vm::ContentMode::kSeedOnly, vm::ContentMode::kMaterialized}) {
+    vm::GuestMemory memory(MiB(1), mode);
+    Xoshiro256 rng(1);
+    vm::MemoryProfile{}.Apply(memory, rng);
+    const auto cp = Checkpoint::CaptureFrom(memory);
+    const auto index = ChecksumIndex::Build(cp, mode, DigestAlgorithm::kMd5);
+    for (vm::PageId page = 0; page < memory.PageCount(); ++page) {
+      EXPECT_EQ(
+          vm::ContentDigest(mode, DigestAlgorithm::kMd5, cp.SeedAt(page)),
+          memory.PageDigest(page));
+      const auto found = index.Lookup(memory.PageDigest(page));
+      ASSERT_TRUE(found.has_value());
+      EXPECT_EQ(cp.SeedAt(*found), memory.Seed(page));
+    }
   }
 }
 
@@ -115,9 +129,11 @@ TEST(Checkpoint, FileLoadRejectsCorruptImage) {
 TEST(ChecksumIndex, LookupFindsEveryPage) {
   auto memory = MakeMemory();
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, DigestAlgorithm::kMd5);
+  const auto index = ChecksumIndex::Build(cp, vm::ContentMode::kSeedOnly,
+                                          DigestAlgorithm::kMd5);
   for (vm::PageId page = 0; page < cp.PageCount(); ++page) {
-    const auto found = index.Lookup(cp.DigestAt(page, DigestAlgorithm::kMd5));
+    const auto found = index.Lookup(vm::ContentDigest(
+        vm::ContentMode::kSeedOnly, DigestAlgorithm::kMd5, cp.SeedAt(page)));
     ASSERT_TRUE(found.has_value());
     // Duplicates may resolve to a different offset with the same content.
     EXPECT_EQ(cp.SeedAt(*found), cp.SeedAt(page));
@@ -127,7 +143,8 @@ TEST(ChecksumIndex, LookupFindsEveryPage) {
 TEST(ChecksumIndex, MissingDigestReturnsNullopt) {
   auto memory = MakeMemory();
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, DigestAlgorithm::kMd5);
+  const auto index = ChecksumIndex::Build(cp, vm::ContentMode::kSeedOnly,
+                                          DigestAlgorithm::kMd5);
   EXPECT_FALSE(index.Lookup(Digest128::FromWords(0xdead, 0xbeef)).has_value());
 }
 
@@ -137,7 +154,8 @@ TEST(ChecksumIndex, DistinctCountCollapsesDuplicates) {
     memory.WritePage(p, p % 10);  // 10 distinct contents
   }
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, DigestAlgorithm::kMd5);
+  const auto index = ChecksumIndex::Build(cp, vm::ContentMode::kSeedOnly,
+                                          DigestAlgorithm::kMd5);
   EXPECT_EQ(index.EntryCount(), memory.PageCount());
   EXPECT_EQ(index.DistinctDigests(), 10u);
   EXPECT_EQ(index.DistinctDigestList().size(), 10u);
@@ -151,7 +169,8 @@ TEST(ChecksumIndex, BulkExchangeSizeMatchesPaperExample) {
     memory.WritePage(p, p + 1000);
   }
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, DigestAlgorithm::kMd5);
+  const auto index = ChecksumIndex::Build(cp, vm::ContentMode::kSeedOnly,
+                                          DigestAlgorithm::kMd5);
   EXPECT_EQ(index.BulkExchangeSize(), KiB(16));
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "digest/digest_memo.hpp"
 #include "digest/hasher.hpp"
 #include "vm/dirty_tracker.hpp"
 #include "vm/guest_memory.hpp"
@@ -155,6 +156,10 @@ TEST(GuestMemory, ContentHashMatchesAcrossModes) {
   seeded.WritePage(0, 77);
   materialized.WritePage(0, 77);
   EXPECT_EQ(seeded.ContentHash64(0), materialized.ContentHash64(0));
+  // It is the high word of the seed-mode content identity.
+  EXPECT_EQ(seeded.ContentHash64(0),
+            ContentDigest(ContentMode::kSeedOnly, DigestAlgorithm::kSha1, 77)
+                .words[0]);
 }
 
 TEST(GuestMemory, MaterializedDigestHashesRealBytes) {
@@ -200,46 +205,88 @@ TEST(GuestMemory, SetGenerationsAdoptsVector) {
   EXPECT_THROW(memory.SetGenerations({1, 2, 3}), CheckFailure);
 }
 
-// --- Digest memoization. ---
+// --- Page content identity (ContentDigest). ---
 
-/// Honest recomputation of what PageDigest should return, bypassing every
-/// cache layer.
+/// Independent recomputation of what PageDigest must return, from the
+/// spec rather than the library: the real digest of the expanded bytes
+/// in materialized mode; in seed mode the SplitMix64 pair — (seed + 1)
+/// in the high word, the algorithm-salted seed in the low word.
 Digest128 HonestDigest(const GuestMemory& memory, PageId page) {
+  const std::uint64_t seed = memory.Seed(page);
   if (memory.Mode() == ContentMode::kMaterialized) {
     std::array<std::byte, kPageSize> bytes;
-    MaterializePage(memory.Seed(page), bytes);
+    MaterializePage(seed, bytes);
     return ComputeDigest(memory.Algorithm(), bytes.data(), bytes.size());
   }
-  const std::uint64_t seed = memory.Seed(page);
-  return ComputeDigest(memory.Algorithm(), &seed, sizeof(seed));
+  const std::uint64_t salt =
+      (static_cast<std::uint64_t>(memory.Algorithm()) + 1) *
+      0x9e3779b97f4a7c15ull;
+  return Digest128::FromWords(SplitMix64(seed + 1).Next(),
+                              SplitMix64(seed ^ salt).Next());
 }
 
-TEST(DigestCache, CachedAndUncachedDigestsAreByteIdentical) {
-  for (const auto mode :
-       {ContentMode::kSeedOnly, ContentMode::kMaterialized}) {
-    GuestMemory cached(MiB(1), mode);
-    GuestMemory uncached(MiB(1), mode);
-    uncached.SetDigestCacheEnabled(false);
-    Xoshiro256 rng(0xcafe);
-    for (PageId p = 0; p < cached.PageCount(); ++p) {
-      const std::uint64_t seed = rng.Next();
-      cached.WritePage(p, seed);
-      uncached.WritePage(p, seed);
+constexpr std::array<ContentMode, 2> kModes = {ContentMode::kSeedOnly,
+                                               ContentMode::kMaterialized};
+
+TEST(ContentDigest, SeedModeIsInjectiveAndSeparatesAlgorithms) {
+  constexpr std::array<DigestAlgorithm, 4> kAlgorithms = {
+      DigestAlgorithm::kMd5, DigestAlgorithm::kSha1, DigestAlgorithm::kSha256,
+      DigestAlgorithm::kFnv1a};
+  // Zero, small consecutive seeds, both halves of MemoryProfile's seed
+  // space (high bit clear/set), and the extremes.
+  std::vector<std::uint64_t> seeds = {kZeroPageSeed, ~0ull, 1ull << 63};
+  for (std::uint64_t s = 1; s <= 2048; ++s) seeds.push_back(s);
+  Xoshiro256 rng(0x5eed);
+  for (int i = 0; i < 8192; ++i) seeds.push_back(rng.Next());
+
+  std::set<Digest128> all;
+  for (const auto seed : seeds) {
+    for (const auto algorithm : kAlgorithms) {
+      const auto digest =
+          ContentDigest(ContentMode::kSeedOnly, algorithm, seed);
+      EXPECT_EQ(digest.words[0], SplitMix64(seed + 1).Next());
+      all.insert(digest);
     }
-    for (PageId p = 0; p < cached.PageCount(); ++p) {
-      EXPECT_EQ(cached.PageDigest(p), uncached.PageDigest(p));
-      // Second read serves from the cache; still identical.
-      EXPECT_EQ(cached.PageDigest(p), uncached.PageDigest(p));
-      EXPECT_EQ(cached.ContentHash64(p), uncached.ContentHash64(p));
-    }
-    EXPECT_GT(cached.DigestCacheHits(), 0u);
-    EXPECT_EQ(uncached.DigestCacheHits(), 0u);
   }
+  // Every (seed, algorithm) pair named distinct content.
+  EXPECT_EQ(all.size(), seeds.size() * kAlgorithms.size());
+}
+
+TEST(ContentDigest, PageDigestFollowsTheSpecInBothModes) {
+  for (const auto mode : kModes) {
+    GuestMemory memory(MiB(1), mode);
+    Xoshiro256 rng(0xcafe);
+    for (PageId p = 0; p < memory.PageCount(); ++p) {
+      memory.WritePage(p, rng.Next());
+    }
+    for (PageId p = 0; p < memory.PageCount(); ++p) {
+      EXPECT_EQ(memory.PageDigest(p), HonestDigest(memory, p));
+      EXPECT_EQ(memory.PageDigest(p),
+                ContentDigest(mode, memory.Algorithm(), memory.Seed(p)));
+    }
+  }
+}
+
+TEST(ContentDigest, MaterializedMemoIsInvisible) {
+  // A cold memo hashes (the caller's bytes, or bytes expanded from the
+  // seed); a warm one answers from the table. Both must agree with real
+  // MD5 over the page image.
+  GuestMemory memory(MiB(1), ContentMode::kMaterialized);
+  memory.WritePage(0, 0xfeed);
+  SeedDigestMemo::Instance().Clear();
+  const auto from_seed = ContentDigest(ContentMode::kMaterialized,
+                                       DigestAlgorithm::kMd5, 0xfeed);
+  SeedDigestMemo::Instance().Clear();
+  const auto from_bytes = memory.PageDigest(0);
+  const auto warm = memory.PageDigest(0);
+  EXPECT_EQ(SeedDigestMemo::Instance().Hits(), 1u);
+  EXPECT_EQ(from_seed, HonestDigest(memory, 0));
+  EXPECT_EQ(from_bytes, HonestDigest(memory, 0));
+  EXPECT_EQ(warm, HonestDigest(memory, 0));
 }
 
 TEST(DigestCache, WritePageInvalidates) {
-  for (const auto mode :
-       {ContentMode::kSeedOnly, ContentMode::kMaterialized}) {
+  for (const auto mode : kModes) {
     GuestMemory memory(MiB(1), mode);
     memory.WritePage(0, 111);
     const auto before = memory.PageDigest(0);
@@ -251,16 +298,13 @@ TEST(DigestCache, WritePageInvalidates) {
 }
 
 TEST(DigestCache, WriteBurstInvalidates) {
-  for (const auto mode :
-       {ContentMode::kSeedOnly, ContentMode::kMaterialized}) {
+  for (const auto mode : kModes) {
     GuestMemory memory(MiB(1), mode);
     memory.WritePage(0, 111);
     const auto before = memory.PageDigest(0);
     const auto hash_before = memory.ContentHash64(0);
     memory.WriteBurst(0, 5, 222);
-    const auto misses = memory.DigestCacheMisses();
     const auto after = memory.PageDigest(0);
-    EXPECT_EQ(memory.DigestCacheMisses(), misses + 1);
     EXPECT_NE(before, after);
     EXPECT_EQ(after, HonestDigest(memory, 0));
     EXPECT_NE(memory.ContentHash64(0), hash_before);
@@ -268,86 +312,61 @@ TEST(DigestCache, WriteBurstInvalidates) {
 }
 
 TEST(DigestCache, CopyPageInvalidatesDestination) {
-  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
-  memory.WritePage(0, 111);
-  memory.WritePage(1, 222);
-  const auto dest_before = memory.PageDigest(1);
-  memory.CopyPage(0, 1);
-  EXPECT_NE(memory.PageDigest(1), dest_before);
-  EXPECT_EQ(memory.PageDigest(1), memory.PageDigest(0));
+  for (const auto mode : kModes) {
+    GuestMemory memory(MiB(1), mode);
+    memory.WritePage(0, 111);
+    memory.WritePage(1, 222);
+    const auto dest_before = memory.PageDigest(1);
+    memory.CopyPage(0, 1);
+    EXPECT_NE(memory.PageDigest(1), dest_before);
+    EXPECT_EQ(memory.PageDigest(1), memory.PageDigest(0));
+    EXPECT_EQ(memory.PageDigest(1), HonestDigest(memory, 1));
+  }
 }
 
 TEST(DigestCache, SetGenerationsKeepsDigestsValid) {
-  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
-  memory.WritePage(0, 333);
-  const auto digest = memory.PageDigest(0);  // cached at generation 1
-  std::vector<std::uint64_t> generations(memory.PageCount(), 0);
-  memory.SetGenerations(generations);  // content untouched
-  EXPECT_EQ(memory.PageDigest(0), digest);
-  EXPECT_EQ(memory.PageDigest(0), HonestDigest(memory, 0));
+  for (const auto mode : kModes) {
+    GuestMemory memory(MiB(1), mode);
+    memory.WritePage(0, 333);
+    const auto digest = memory.PageDigest(0);
+    std::vector<std::uint64_t> generations(memory.PageCount(), 0);
+    memory.SetGenerations(generations);  // content untouched
+    EXPECT_EQ(memory.PageDigest(0), digest);
+    EXPECT_EQ(memory.PageDigest(0), HonestDigest(memory, 0));
+  }
 }
 
 TEST(DigestCache, GenerationAliasingAfterSetGenerationsIsSafe) {
-  // The dangerous interleaving: cache a digest at generation g, rewind
-  // the counters with SetGenerations, then write until the counter
-  // climbs back to g. A naive generation-keyed cache would serve the
-  // stale digest for the new content.
-  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
-  memory.WritePage(0, 444);  // generation 1
-  const auto stale = memory.PageDigest(0);
-  std::vector<std::uint64_t> generations(memory.PageCount(), 0);
-  memory.SetGenerations(generations);  // back to generation 0
-  memory.WritePage(0, 555);  // generation 1 again, new content
-  EXPECT_NE(memory.PageDigest(0), stale);
-  EXPECT_EQ(memory.PageDigest(0), HonestDigest(memory, 0));
+  // Digest a page at generation g, rewind the counters with
+  // SetGenerations, then write until the counter climbs back to g: the
+  // digest must follow the new content, not the counter.
+  for (const auto mode : kModes) {
+    GuestMemory memory(MiB(1), mode);
+    memory.WritePage(0, 444);  // generation 1
+    const auto stale = memory.PageDigest(0);
+    std::vector<std::uint64_t> generations(memory.PageCount(), 0);
+    memory.SetGenerations(generations);  // back to generation 0
+    memory.WritePage(0, 555);            // generation 1 again, new content
+    EXPECT_NE(memory.PageDigest(0), stale);
+    EXPECT_EQ(memory.PageDigest(0), HonestDigest(memory, 0));
+  }
 }
 
 TEST(DigestCache, SetGenerationsDropsEntriesStaledByEarlierWrites) {
-  // The other dangerous interleaving: cache a digest, *overwrite* the
-  // page (staling the entry), then SetGenerations. Re-stamping every
-  // nonzero key would resurrect the stale digest as valid under the new
-  // counters. This is exactly the destination-side sequence during a
-  // checkpoint-assisted migration: ApplyRecord computes PageDigest for
-  // the in-place check, then WritePage fetches the real content, then
-  // Finalize adopts the source's generation counters.
-  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
-  memory.WritePage(0, 666);                    // generation 1
-  const auto stale = memory.PageDigest(0);     // cached at generation 1
-  memory.WritePage(0, 777);                    // generation 2, entry stale
-  std::vector<std::uint64_t> generations(memory.PageCount(), 5);
-  memory.SetGenerations(generations);
-  EXPECT_NE(memory.PageDigest(0), stale);
-  EXPECT_EQ(memory.PageDigest(0), HonestDigest(memory, 0));
-}
-
-TEST(DigestCache, HitAndMissCountersTrack) {
-  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
-  memory.WritePage(0, 1);
-  EXPECT_EQ(memory.DigestCacheMisses(), 0u);
-  (void)memory.PageDigest(0);
-  EXPECT_EQ(memory.DigestCacheMisses(), 1u);
-  EXPECT_EQ(memory.DigestCacheHits(), 0u);
-  (void)memory.PageDigest(0);
-  EXPECT_EQ(memory.DigestCacheHits(), 1u);
-  memory.WritePage(0, 2);
-  (void)memory.PageDigest(0);
-  EXPECT_EQ(memory.DigestCacheMisses(), 2u);
-}
-
-TEST(DigestCache, ContentFingerprintUnaffectedByCaching) {
-  GuestMemory cached(MiB(1), ContentMode::kSeedOnly);
-  GuestMemory uncached(MiB(1), ContentMode::kSeedOnly);
-  uncached.SetDigestCacheEnabled(false);
-  for (PageId p = 0; p < cached.PageCount(); ++p) {
-    cached.WritePage(p, p * 31 + 7);
-    uncached.WritePage(p, p * 31 + 7);
+  // The destination-side sequence of a checkpoint-assisted migration:
+  // ApplyRecord digests the restored page for the in-place check, then
+  // WritePage fetches the real content, then Finalize adopts the
+  // source's generation counters. The digest must name the new content.
+  for (const auto mode : kModes) {
+    GuestMemory memory(MiB(1), mode);
+    memory.WritePage(0, 666);  // generation 1
+    const auto stale = memory.PageDigest(0);
+    memory.WritePage(0, 777);  // generation 2
+    std::vector<std::uint64_t> generations(memory.PageCount(), 5);
+    memory.SetGenerations(generations);
+    EXPECT_NE(memory.PageDigest(0), stale);
+    EXPECT_EQ(memory.PageDigest(0), HonestDigest(memory, 0));
   }
-  const auto before = cached.ContentFingerprint();
-  for (PageId p = 0; p < cached.PageCount(); ++p) {
-    (void)cached.PageDigest(p);  // warm the cache
-  }
-  EXPECT_EQ(cached.ContentFingerprint(), before);
-  EXPECT_EQ(cached.ContentFingerprint(), uncached.ContentFingerprint());
 }
 
 // --- Memory profile. ---
