@@ -13,8 +13,8 @@
 // compares across runs.
 //
 // The layer is compiled in always and enabled per-run — via
-// MigrationConfig::audit / PostCopyConfig::audit, the VECYCLE_AUDIT
-// environment variable, or by handing a run an explicit SimAuditor.
+// MigrationConfig::audit, the VECYCLE_AUDIT environment variable, or by
+// handing a run an explicit SimAuditor.
 #pragma once
 
 #include <cstdint>

@@ -6,16 +6,6 @@
 
 namespace vecycle::core {
 
-void ActivitySensor::Observe(std::uint64_t total_writes, SimTime now) {
-  if (primed_ && now > last_time_) {
-    const double seconds = ToSeconds(now - last_time_);
-    rate_ = static_cast<double>(total_writes - last_writes_) / seconds;
-  }
-  last_writes_ = total_writes;
-  last_time_ = now;
-  primed_ = true;
-}
-
 void ConsolidationPolicy::Validate() const {
   VEC_CHECK_MSG(idle_threshold_writes_per_s >= 0.0,
                 "idle threshold must be non-negative");
@@ -52,10 +42,10 @@ void ConsolidationManager::Register(VmInstance& vm, HostId worker_host) {
   managed.vm = &vm;
   managed.worker_host = std::move(worker_host);
   managed.last_move = cluster_.Simulator().Now();
-  // Prime the sensor so the first tick yields a real rate; an unprimed
+  // Anchor the sensor so the first tick yields a real rate; an unanchored
   // sensor reads 0 writes/s, which would masquerade as idleness.
-  managed.sensor.Observe(vm.Memory().TotalWrites(),
-                         cluster_.Simulator().Now());
+  managed.sensor.AddSample(cluster_.Simulator().Now(),
+                           vm.Memory().TotalWrites());
   vms_.push_back(std::move(managed));
 }
 
@@ -74,7 +64,7 @@ void ConsolidationManager::Tick(SimDuration step) {
     if (vm.Workload() != nullptr) {
       vm.Workload()->Advance(vm.Memory(), step);
     }
-    managed.sensor.Observe(vm.Memory().TotalWrites(), now);
+    managed.sensor.AddSample(now, vm.Memory().TotalWrites());
     MaybeMigrate(managed, now);
   }
 }
@@ -83,7 +73,7 @@ void ConsolidationManager::MaybeMigrate(Managed& managed, SimTime now) {
   auto& vm = *managed.vm;
   if (now - managed.last_move < policy_.min_dwell) return;
 
-  const double rate = managed.sensor.WritesPerSecond();
+  const double rate = managed.sensor.LatestRate();
   const bool consolidated = IsConsolidated(vm);
 
   const bool should_consolidate =
@@ -98,10 +88,9 @@ void ConsolidationManager::MaybeMigrate(Managed& managed, SimTime now) {
   managed.last_move = cluster_.Simulator().Now();
   managed.ever_moved = true;
   // The VM adopted a fresh memory object whose write counter reflects the
-  // reconstruction, not guest activity; re-prime so the next interval
+  // reconstruction, not guest activity; re-anchor so the next interval
   // measures the guest alone.
-  managed.sensor = ActivitySensor();
-  managed.sensor.Observe(vm.Memory().TotalWrites(), managed.last_move);
+  managed.sensor.Reanchor(managed.last_move, vm.Memory().TotalWrites());
   stats_.migration_traffic += stats.tx_bytes;
   stats_.migration_time += stats.total_time;
   if (should_consolidate) {

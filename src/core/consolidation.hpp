@@ -2,8 +2,9 @@
 // as a likely cause of the ping-pong migration pattern VeCycle exploits):
 // low-activity VMs are packed onto a consolidation host so worker hosts
 // can power down; when a VM becomes active again it moves back. The
-// manager here implements that control loop — activity sensing with
-// hysteresis and a minimum dwell time — and is precisely the component
+// manager here implements that control loop — activity sensing (through
+// vm::CycleDetector's per-interval write rate) with hysteresis and a
+// minimum dwell time — and is precisely the component
 // that *generates* the small-host-set migration patterns of the IBM
 // study [7].
 #pragma once
@@ -16,25 +17,9 @@
 #include "core/orchestrator.hpp"
 #include "core/vm_instance.hpp"
 #include "migration/config.hpp"
+#include "vm/cycle_detector.hpp"
 
 namespace vecycle::core {
-
-/// Sliding-window write-rate estimator over GuestMemory::TotalWrites().
-class ActivitySensor {
- public:
-  /// Records an observation; the rate is computed over the last window.
-  void Observe(std::uint64_t total_writes, SimTime now);
-
-  /// Writes per second over the most recent observation interval
-  /// (0 before two observations exist).
-  [[nodiscard]] double WritesPerSecond() const { return rate_; }
-
- private:
-  std::uint64_t last_writes_ = 0;
-  SimTime last_time_ = kSimEpoch;
-  bool primed_ = false;
-  double rate_ = 0.0;
-};
 
 struct ConsolidationPolicy {
   /// Below this write rate a VM counts as idle (candidate to consolidate).
@@ -79,7 +64,8 @@ class ConsolidationManager {
   struct Managed {
     VmInstance* vm = nullptr;
     HostId worker_host;
-    ActivitySensor sensor;
+    /// Write-rate sampling; the manager reads only the latest interval.
+    vm::CycleDetector sensor;
     SimTime last_move = kSimEpoch;
     bool ever_moved = false;
   };

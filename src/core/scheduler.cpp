@@ -38,6 +38,43 @@ SimTime RetryNotBefore(SimTime when, SimDuration backoff,
   return when + delay;
 }
 
+migration::MigrationRun MakeMigrationRun(
+    Cluster& cluster, VmInstance& vm, const HostId& to,
+    const migration::MigrationConfig& config) {
+  const HostId& from = vm.CurrentHost();
+  VEC_CHECK_MSG(!from.empty(), "VM is not deployed");
+  VEC_CHECK_MSG(from != to, "VM " + vm.Id() + " is already on " + to);
+  Host& source_host = cluster.GetHost(from);
+  Host& dest_host = cluster.GetHost(to);
+  const auto path = cluster.PathBetween(from, to);
+
+  migration::MigrationRun run;
+  run.simulator = &cluster.Simulator();
+  run.link = path.link;
+  run.direction = path.direction;
+  run.source_memory = &vm.Memory();
+  run.workload = vm.Workload();
+  run.source = {&source_host.Cpu(), &source_host.Store()};
+  run.destination = {&dest_host.Cpu(), &dest_host.Store()};
+  run.vm_id = vm.Id();
+  run.config = config;
+  run.source_knowledge_set = vm.KnownPageSetAt(to);
+  // Dirty-tracking generations and the delta baseline resolve through the
+  // destination's checkpoint store — the system of record for what the VM
+  // left there (empty when the checkpoint was evicted or never written).
+  // In PDES mode that store belongs to the destination shard, but runs
+  // are built at a barrier — no worker is running — so the read is
+  // race-free.
+  run.departure_generations = dest_host.Store().DepartureGenerations(vm.Id());
+  run.departure_seeds = dest_host.Store().BaselineSeeds(vm.Id());
+  // Checkpoint write-back happens inside the session (booked at the
+  // destination completion time, not counted in migration time — §4.4),
+  // so a session-private fault injector can still rot the saved image and
+  // overlapping sessions keep the disk contended.
+  run.write_back_checkpoint = true;
+  return run;
+}
+
 MigrationScheduler::MigrationScheduler(Cluster& cluster,
                                        SchedulerConfig config)
     : cluster_(cluster), config_(config) {
@@ -219,46 +256,16 @@ SimTime MigrationScheduler::CurrentTime() const {
 }
 
 void MigrationScheduler::StartSession(Request request) {
-  const HostId from = request.vm->CurrentHost();
-  VEC_CHECK_MSG(!from.empty(), "VM is not deployed");
-  VEC_CHECK_MSG(from != request.to,
-                "VM " + request.vm->Id() + " is already on " + request.to);
-
-  Host& source_host = cluster_.GetHost(from);
-  Host& dest_host = cluster_.GetHost(request.to);
-  const auto path = cluster_.PathBetween(from, request.to);
-
-  // Identical wiring to MigrationOrchestrator::Migrate, plus the session
-  // identity and the in-loop checkpoint write-back (the synchronous path
-  // books the write-back after its private event loop drains; here the
-  // disk stays contended by the sessions still running).
   // Retries run under a fresh session id: channel ids (and so the
   // auditor's per-channel byte accounts) derive from the session id, and
   // the aborted attempt's wire bytes must not leak into the retry's
   // conservation checks. The caller-facing id stays `request.id`.
   const SessionId sid = request.attempts == 0 ? request.id : next_id_++;
+  const HostId from = request.vm->CurrentHost();
 
-  migration::MigrationRun run;
-  run.simulator = &cluster_.Simulator();
-  run.link = path.link;
-  run.direction = path.direction;
+  migration::MigrationRun run =
+      MakeMigrationRun(cluster_, *request.vm, request.to, request.config);
   run.session_id = sid;
-  run.write_back_checkpoint = true;
-  run.source_memory = &request.vm->Memory();
-  run.workload = request.vm->Workload();
-  run.source = {&source_host.Cpu(), &source_host.Store()};
-  run.destination = {&dest_host.Cpu(), &dest_host.Store()};
-  run.vm_id = request.vm->Id();
-  run.config = request.config;
-  run.source_knowledge_set = request.vm->KnownPageSetAt(request.to);
-  // Dirty-tracking generations and the delta baseline resolve through the
-  // destination's checkpoint store (empty when the checkpoint was evicted
-  // or never written). In PDES mode the destination store belongs to the
-  // destination shard, but admission happens at a barrier — no worker is
-  // running — so the read is race-free.
-  run.departure_generations =
-      dest_host.Store().DepartureGenerations(request.vm->Id());
-  run.departure_seeds = dest_host.Store().BaselineSeeds(request.vm->Id());
   run.auditor = config_.auditor;
   run.tracer = config_.tracer;
   run.metrics = config_.metrics;

@@ -72,6 +72,18 @@ struct ControlOutbox {
 [[nodiscard]] SimTime RetryNotBefore(SimTime when, SimDuration backoff,
                                      std::uint64_t failures);
 
+/// The one wiring of a migration leg of `vm` from its current host to
+/// `to`, shared by MigrationOrchestrator::Migrate and the scheduler so
+/// every MigrationConfig field (post-copy mode included) reaches both
+/// paths the same way: link and direction, endpoints, the VM's knowledge
+/// of the destination, the departure generations and delta baseline
+/// resolved through the destination's checkpoint store, and the
+/// in-session §4.4 checkpoint write-back. Session identity, observers and
+/// callbacks are the caller's to add.
+[[nodiscard]] migration::MigrationRun MakeMigrationRun(
+    Cluster& cluster, VmInstance& vm, const HostId& to,
+    const migration::MigrationConfig& config);
+
 /// Thrown by the scheduler when a migration exhausts its retry budget
 /// and `SchedulerConfig::throw_on_abort` is set. Distinct from engine
 /// CheckFailures so fleet callers can tell "a fault won" from "the

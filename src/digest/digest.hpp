@@ -13,6 +13,8 @@
 #include <functional>
 #include <string>
 
+#include "common/rng.hpp"
+
 namespace vecycle {
 
 /// 128-bit digest value. Ordered (for the sorted checksum index of §3.3)
@@ -31,6 +33,17 @@ struct Digest128 {
     return Digest128{{hi, lo}};
   }
 };
+
+/// Slot index for the open-addressing digest tables (DigestSet,
+/// DigestMap): one SplitMix64 round over both words. Cryptographic
+/// digests are uniform in either word, but an FNV-widened digest is
+/// FromWords(fnv, 0) — a hash of words[1] alone sends every one of them
+/// to the same slot and turns probing quadratic.
+[[nodiscard]] constexpr std::uint64_t SlotHash(const Digest128& digest) {
+  return SplitMix64(digest.words[0] ^
+                    (digest.words[1] * 0x9e3779b97f4a7c15ull))
+      .Next();
+}
 
 /// Identifies which checksum algorithm a component should use. §3.4
 /// discusses the trade-off: MD5 is the prototype default; FNV is the kind

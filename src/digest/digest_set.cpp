@@ -2,18 +2,9 @@
 
 #include <algorithm>
 
-#include "common/rng.hpp"
-
 namespace vecycle {
 
 namespace {
-
-/// Slot index for a digest: SplitMix64 of the low word. Digests from the
-/// cryptographic algorithms are already uniform, but FNV-widened digests
-/// are not — the mix makes the table insensitive to the algorithm choice.
-std::uint64_t SlotHash(const Digest128& digest) {
-  return SplitMix64(digest.words[1]).Next();
-}
 
 std::uint64_t NextPowerOfTwo(std::uint64_t n) {
   std::uint64_t p = 1;

@@ -4,9 +4,9 @@
 // can use binary search" — correct, but O(log n) with a cache miss per
 // probe level. The source-side membership test (DestHas, §3.2) only ever
 // asks "does this content exist at the destination?", never "at which
-// offset?", so a flat hash set answers it in O(1): one mix of the digest's
-// low 64 bits picks the slot, linear probing resolves collisions, and the
-// full 128-bit digest stored in the slot confirms the match (low-64-bit
+// offset?", so a flat hash set answers it in O(1): SlotHash (one mix of
+// both digest words) picks the slot, linear probing resolves collisions,
+// and the full 128-bit digest stored in the slot confirms the match (slot
 // collisions cannot cause false positives). Slots are a single contiguous
 // Digest128 array at <= 50% load, so a probe touches one or two cache
 // lines instead of log2(n) of them.

@@ -129,6 +129,28 @@ struct AutoConvergeConfig {
   void Validate() const;
 };
 
+/// Post-copy mode (Hines & Gopalan [13]): switch execution to the
+/// destination first, then fetch memory — a background prefetcher plus
+/// demand faults on guest touches (docs/migration.md §4). The strategy
+/// picks the composition: kHashes recycles the destination's checkpoint
+/// against the source's checksum vector, kFull is cold post-copy. The
+/// session runs pre-copy unless enabled.
+struct PostCopyConfig {
+  bool enabled = false;
+  /// Device/CPU state shipped at switchover (QEMU sends a few MiB).
+  Bytes switchover_state = MiB(4);
+  /// Guest memory-touch rate at the destination while residency is
+  /// incomplete; touches to non-resident pages become remote faults.
+  double guest_touch_rate_per_s = 2000.0;
+  /// Pages per background-prefetch batch.
+  std::uint32_t prefetch_batch = 256;
+  std::uint64_t touch_seed = 1;
+
+  /// Rejects degenerate rates and sizes. Checked even when `enabled` is
+  /// false, like the other capability configs.
+  void Validate() const;
+};
+
 struct MigrationConfig {
   Strategy strategy = Strategy::kHashes;
   DigestAlgorithm algorithm = DigestAlgorithm::kMd5;
@@ -145,6 +167,11 @@ struct MigrationConfig {
   MultifdConfig multifd;
   DeltaConfig delta;
   AutoConvergeConfig auto_converge;
+
+  /// Migration mode: pre-copy unless postcopy.enabled. Post-copy accepts
+  /// only strategies kHashes and kFull, and neither compression nor a
+  /// transfer-stack capability.
+  PostCopyConfig postcopy;
 
   /// Pages per wire message. Real implementations buffer the RAM stream;
   /// 256 pages (1 MiB) per send matches QEMU's buffered chunking order of

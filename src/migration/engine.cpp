@@ -7,6 +7,7 @@
 #include "common/check.hpp"
 #include "migration/destination.hpp"
 #include "migration/observe.hpp"
+#include "migration/postcopy.hpp"
 #include "migration/source.hpp"
 #include "net/channel.hpp"
 #include "storage/checkpoint.hpp"
@@ -21,6 +22,8 @@ const char* ToString(SessionPhase phase) {
       return "pre-copy";
     case SessionPhase::kStopAndCopy:
       return "stop-and-copy";
+    case SessionPhase::kResidency:
+      return "residency";
     case SessionPhase::kCheckpointWriteBack:
       return "checkpoint-write-back";
     case SessionPhase::kDone:
@@ -80,9 +83,18 @@ void AutoConvergeConfig::Validate() const {
                 "auto-converge trigger_rounds must be positive");
 }
 
+void PostCopyConfig::Validate() const {
+  // enabled is a boolean toggle; every touch_seed is legal.
+  VEC_CHECK_MSG(guest_touch_rate_per_s >= 0.0,
+                "touch rate must be non-negative");
+  VEC_CHECK_MSG(prefetch_batch > 0, "prefetch batch must be positive");
+  VEC_CHECK_MSG(switchover_state.count > 0,
+                "switchover_state must be positive");
+}
+
 void MigrationConfig::Validate() const {
   // strategy, algorithm and hash_exchange are closed enums whose every
-  // value is legal; audit and trace are boolean toggles.
+  // value is legal in pre-copy; audit and trace are boolean toggles.
   // stop_copy_threshold_pages accepts every value: 0 simply defers the
   // stop-and-copy decision to max_rounds.
   VEC_CHECK_MSG(batch_pages > 0, "batch_pages must be positive");
@@ -92,11 +104,28 @@ void MigrationConfig::Validate() const {
   multifd.Validate();
   delta.Validate();
   auto_converge.Validate();
+  postcopy.Validate();
   faults.Validate();
+  if (postcopy.enabled) {
+    // Post-copy either recycles the destination checkpoint (kHashes) or
+    // runs cold (kFull); the pre-copy transfer stack does not apply to
+    // its page fetches.
+    VEC_CHECK_MSG(
+        strategy == Strategy::kHashes || strategy == Strategy::kFull,
+        "post-copy strategy must be kHashes or kFull");
+    VEC_CHECK_MSG(!multifd.enabled, "post-copy does not compose with multifd");
+    VEC_CHECK_MSG(!delta.enabled,
+                  "post-copy does not compose with delta encoding");
+    VEC_CHECK_MSG(!auto_converge.enabled,
+                  "post-copy does not compose with auto-converge");
+    VEC_CHECK_MSG(!compression.enabled,
+                  "post-copy does not compose with compression");
+  }
 }
 
-/// All the wiring of one migration: channels, the two actors, and the
-/// completion latch. Kept behind a pimpl so MigrationSession's header
+/// All the wiring of one migration: channels and the two pre-copy actors,
+/// or the post-copy actor, plus the observers and the completion latch
+/// both modes share. Kept behind a pimpl so MigrationSession's header
 /// stays light.
 struct MigrationSession::Impl {
   /// Audit channel-id scheme (see MigrationRun::session_id): the compact
@@ -127,6 +156,7 @@ struct MigrationSession::Impl {
     VEC_CHECK(run.source.cpu != nullptr);
     VEC_CHECK(run.destination.cpu != nullptr);
     run.config.Validate();
+    const bool postcopy = run.config.postcopy.enabled;
 
     auto& simulator = *run.simulator;
     // Cross-shard wiring: the destination actor and the backward channel
@@ -140,13 +170,19 @@ struct MigrationSession::Impl {
       VEC_CHECK_MSG(run.forward_delivery != nullptr &&
                         run.backward_delivery != nullptr,
                     "cross-shard session needs both delivery routes");
+      // A post-copy fetch completes on the destination shard but reads
+      // the source's memory, which lives on the other worker.
+      VEC_CHECK_MSG(!postcopy,
+                    "post-copy is not supported for cross-shard sessions");
     }
     const SimTime t0 = std::max(simulator.Now(), run.start_at);
     start_time = t0;
     const sim::Direction reverse = run.direction == sim::Direction::kAtoB
                                        ? sim::Direction::kBtoA
                                        : sim::Direction::kAtoB;
-    const std::uint32_t nchan = run.config.multifd.ActiveChannels();
+    // Post-copy books its transfers on the link directly: no channels.
+    const std::uint32_t nchan =
+        postcopy ? 0 : run.config.multifd.ActiveChannels();
     forwards.reserve(nchan);
     for (std::uint32_t k = 0; k < nchan; ++k) {
       auto channel = std::make_unique<net::Channel>(
@@ -160,23 +196,24 @@ struct MigrationSession::Impl {
       if (nchan > 1) channel->SetWindowPaced(true);
       forwards.push_back(std::move(channel));
     }
-    backward = std::make_unique<net::Channel>(dest_sim, *run.link, reverse,
-                                              run.config.algorithm);
-    backward->SetDeliveryExecutor(run.backward_delivery);
-    backward->SetSessionTag(run.session_id);
-
-    // Lifetime token: every closure the session's channels and source
-    // actor put on the shared event heap is guarded by it. Teardown (or
-    // a fault abort) zeroes the token, so events already queued for this
-    // session fire as no-ops instead of calling into freed actors — the
-    // simulator may safely outlive any of its sessions.
+    // Lifetime token: every closure the session's channels and actors
+    // put on the shared event heap is guarded by it. Teardown (or a fault
+    // abort) zeroes the token, so events already queued for this session
+    // fire as no-ops instead of calling into freed actors — the simulator
+    // may safely outlive any of its sessions.
     alive = std::make_shared<bool>(true);
     for (auto& channel : forwards) {
       channel->SetLifetime(alive);
       channel->SetFaultHandler([this](SimTime t) { OnFault(t); });
     }
-    backward->SetLifetime(alive);
-    backward->SetFaultHandler([this](SimTime t) { OnFault(t); });
+    if (!postcopy) {
+      backward = std::make_unique<net::Channel>(dest_sim, *run.link, reverse,
+                                                run.config.algorithm);
+      backward->SetDeliveryExecutor(run.backward_delivery);
+      backward->SetSessionTag(run.session_id);
+      backward->SetLifetime(alive);
+      backward->SetFaultHandler([this](SimTime t) { OnFault(t); });
+    }
 
     // Fault layer, same resolution and attach rules as the audit layer:
     // an explicit injector (the scheduler's fleet-wide plan) wins;
@@ -198,6 +235,12 @@ struct MigrationSession::Impl {
     // in-flight guard check. Faults stay supported within a shard.
     VEC_CHECK_MSG(!cross_shard || injector == nullptr,
                   "fault injection is not supported for cross-shard "
+                  "sessions");
+    // A cut during post-copy residency is fatal to the VM (half its pages
+    // exist only at the source); that needs its own terminal outcome,
+    // which the session does not model yet.
+    VEC_CHECK_MSG(!postcopy || injector == nullptr,
+                  "fault injection is not supported for post-copy "
                   "sessions");
     if (injector != nullptr) {
       if (run.link->Injector() == nullptr) {
@@ -244,7 +287,9 @@ struct MigrationSession::Impl {
       for (std::uint32_t k = 0; k < nchan; ++k) {
         forwards[k]->SetAuditor(auditor, forward_channel_id + k);
       }
-      backward->SetAuditor(dest_side_auditor, backward_channel_id);
+      if (backward != nullptr) {
+        backward->SetAuditor(dest_side_auditor, backward_channel_id);
+      }
       if (simulator.Auditor() == nullptr) {
         simulator.SetAuditor(auditor);
         attached_simulator = true;
@@ -281,17 +326,29 @@ struct MigrationSession::Impl {
     } else if (tracer != nullptr) {
       metrics = &obs::GlobalMetrics();
     }
-    if (tracer != nullptr) {
-      label = run.vm_id;
+    // Trace process and metrics label: "<vm>/<mode>#<id>", where the mode
+    // is "postcopy" or the pre-copy strategy (an untraced pre-copy
+    // session labels its metrics "<vm>#<id>").
+    label = run.vm_id;
+    if (postcopy || tracer != nullptr) {
       label += "/";
-      label += ToString(run.config.strategy);
-      if (run.session_id != 0) {
-        label += "#";
-        label += std::to_string(run.session_id);
-      }
+      label += postcopy ? "postcopy" : ToString(run.config.strategy);
+    }
+    if (run.session_id != 0) {
+      label += "#";
+      label += std::to_string(run.session_id);
+    }
+    obs::TrackId prefetch_track = 0;
+    obs::TrackId fault_track = 0;
+    if (tracer != nullptr) {
       const auto process = tracer->NewProcess(label);
       session_track = tracer->Track(process, "session");
-      const auto source_track = tracer->Track(process, "source rounds");
+      if (postcopy) {
+        prefetch_track = tracer->Track(process, "prefetch");
+        fault_track = tracer->Track(process, "faults");
+      } else {
+        trace_source_track = tracer->Track(process, "source rounds");
+      }
       if (nchan == 1) {
         forwards[0]->SetTracer(tracer,
                                tracer->Track(process, "link to dest"));
@@ -305,7 +362,9 @@ struct MigrationSession::Impl {
               tracer, tracer->Track(process, "link to dest " + ch), ch);
         }
       }
-      backward->SetTracer(tracer, tracer->Track(process, "link to source"));
+      if (backward != nullptr) {
+        backward->SetTracer(tracer, tracer->Track(process, "link to source"));
+      }
       if (run.source.cpu->Tracer() == nullptr) {
         run.source.cpu->SetTracer(tracer, tracer->Track(process, "cpu source"));
         attached_source_cpu = true;
@@ -325,7 +384,26 @@ struct MigrationSession::Impl {
         simulator.SetTracer(tracer, tracer->Track(process, "event loop"));
         attached_simulator_tracer = true;
       }
-      trace_source_track = source_track;
+    }
+
+    if (postcopy) {
+      residency = std::make_unique<PostCopyActor>(run, alive, tracer,
+                                                  prefetch_track, fault_track);
+      residency->on_switchover = [this](SimTime) {
+        AdvanceTo(SessionPhase::kStopAndCopy);
+      };
+      residency->on_resumed = [this](SimTime) {
+        AdvanceTo(SessionPhase::kResidency);
+      };
+      residency->on_resident = [this](SimTime t) {
+        // The source has nothing left to acknowledge: residency is the
+        // last event of a post-copy migration.
+        completed_at = finished_at = t;
+        completed = source_finished = true;
+        MaybeFinish();
+      };
+      residency->Start(t0);
+      return;
     }
 
     DestinationActor::Params dest_params;
@@ -656,34 +734,42 @@ struct MigrationSession::Impl {
     VEC_CHECK_MSG(!finalized, "outcome already taken");
     finalized = true;
 
-    // The reconstructed memory must match the source exactly.
-    VEC_CHECK_MSG(destination->Memory().ContentEquals(*run.source_memory),
-                  "destination memory diverged from source after migration");
-
     MigrationOutcome outcome;
-    outcome.stats = source->Stats();
-    outcome.stats.setup_time = destination->SetupTime();
-    outcome.stats.total_time = completed_at - source->RoundOneStart();
-    outcome.stats.downtime = completed_at - source->PauseTime();
-    outcome.stats.tx_bytes = Bytes{};
-    outcome.stats.tx_bytes_per_channel.clear();
-    outcome.stats.tx_bytes_per_channel.reserve(forwards.size());
-    for (const auto& channel : forwards) {
-      outcome.stats.tx_bytes_per_channel.push_back(channel->PayloadSent());
-      outcome.stats.tx_bytes += channel->PayloadSent();
+    if (residency != nullptr) {
+      // Post-copy: the migration spans the switchover and the residency
+      // window; setup is the checkpoint restore before the switchover.
+      outcome.stats = residency->Stats();
+      outcome.stats.setup_time = residency->SetupDone() - start_time;
+      outcome.stats.total_time = completed_at - residency->SwitchStart();
+      outcome.dest_memory = residency->TakeMemory();
+    } else {
+      outcome.stats = source->Stats();
+      outcome.stats.setup_time = destination->SetupTime();
+      outcome.stats.total_time = completed_at - source->RoundOneStart();
+      outcome.stats.downtime = completed_at - source->PauseTime();
+      outcome.stats.tx_bytes = Bytes{};
+      outcome.stats.tx_bytes_per_channel.clear();
+      outcome.stats.tx_bytes_per_channel.reserve(forwards.size());
+      for (const auto& channel : forwards) {
+        outcome.stats.tx_bytes_per_channel.push_back(channel->PayloadSent());
+        outcome.stats.tx_bytes += channel->PayloadSent();
+      }
+      outcome.stats.pages_matched_in_place =
+          destination->PagesMatchedInPlace();
+      outcome.stats.pages_from_checkpoint =
+          destination->PagesFromCheckpoint();
+      outcome.stats.pages_delta_fallback = destination->PagesDeltaFallback();
+      outcome.stats.dest_hashed_bytes = destination->HashedBytes();
+      outcome.stats.disk_read_errors = destination->DiskReadErrors();
+      outcome.dest_memory = destination->TakeMemory();
     }
-    outcome.stats.pages_matched_in_place =
-        destination->PagesMatchedInPlace();
-    outcome.stats.pages_from_checkpoint =
-        destination->PagesFromCheckpoint();
-    outcome.stats.pages_delta_fallback = destination->PagesDeltaFallback();
-    outcome.stats.dest_hashed_bytes = destination->HashedBytes();
-    outcome.stats.disk_read_errors = destination->DiskReadErrors();
     outcome.stats.retries = run.attempt;
     outcome.completed_at = completed_at;
 
+    // The reconstructed memory must match the source exactly.
+    VEC_CHECK_MSG(outcome.dest_memory->ContentEquals(*run.source_memory),
+                  "destination memory diverged from source after migration");
     // Generation counters travel with the VM.
-    outcome.dest_memory = destination->TakeMemory();
     outcome.dest_memory->SetGenerations(run.source_memory->Generations());
 
     // What the destination now knows: the digest set of the arrived
@@ -701,29 +787,39 @@ struct MigrationSession::Impl {
                     outcome.incoming_digests.end()),
         outcome.incoming_digests.end());
 
-    if (auditor != nullptr) AuditOutcome(outcome);
+    if (auditor != nullptr) {
+      if (residency != nullptr) {
+        residency->AuditOutcome(*auditor, *outcome.dest_memory);
+      } else {
+        AuditOutcome(outcome);
+      }
+    }
     if (tracer != nullptr) {
-      // Durations only known now: the whole migration and the setup scan,
-      // recorded retroactively on the session track (they would overlap
-      // the per-round spans on the source lane).
+      // Durations only known now, recorded retroactively on the session
+      // track (they would overlap the per-round spans on the source
+      // lane): the setup scan, then the whole migration and its downtime,
+      // or post-copy's switchover gap (the entire downtime) and the
+      // residency window the prefetcher and faults filled.
       tracer->Span(session_track, tracer->Name("setup"), start_time,
                    start_time + outcome.stats.setup_time);
-      tracer->Span(session_track, tracer->Name("migration"),
-                   source->RoundOneStart(), completed_at);
-      tracer->Span(session_track, tracer->Name("downtime"),
-                   source->PauseTime(), completed_at);
+      if (residency != nullptr) {
+        tracer->Span(session_track, tracer->Name("switchover"),
+                     residency->SwitchStart(), residency->ResumedAt());
+        tracer->Span(session_track, tracer->Name("residency"),
+                     residency->ResumedAt(), completed_at);
+      } else {
+        tracer->Span(session_track, tracer->Name("migration"),
+                     source->RoundOneStart(), completed_at);
+        tracer->Span(session_track, tracer->Name("downtime"),
+                     source->PauseTime(), completed_at);
+      }
     }
     if (metrics != nullptr) {
-      std::string metric_label = label;
-      if (metric_label.empty()) {
-        metric_label = run.vm_id;
-        if (run.session_id != 0) {
-          metric_label += "#";
-          metric_label += std::to_string(run.session_id);
-        }
+      if (residency != nullptr) {
+        RecordPostCopyStats(*metrics, label, outcome.stats);
+      } else {
+        RecordMigrationStats(*metrics, label, outcome.stats, run.session_id);
       }
-      RecordMigrationStats(*metrics, metric_label, outcome.stats,
-                           run.session_id);
     }
     return outcome;
   }
@@ -739,6 +835,9 @@ struct MigrationSession::Impl {
   std::unique_ptr<net::Channel> backward;
   std::unique_ptr<DestinationActor> destination;
   std::unique_ptr<SourceActor> source;
+  /// The post-copy actor; null in pre-copy mode, where source and
+  /// destination are set instead.
+  std::unique_ptr<PostCopyActor> residency;
   std::unique_ptr<audit::SimAuditor> owned_auditor;
   audit::SimAuditor* auditor = nullptr;
   /// Where the destination's worker reports: run.dest_auditor for a

@@ -46,8 +46,9 @@ struct MigrationRun {
   /// share `simulator` — the single-shard case, byte-identical to the
   /// pre-PDES engine. Cross-shard sessions additionally require the two
   /// delivery executors below and reject fault injection, per-page hash
-  /// queries and per-session tracing (those seams would touch two shards
-  /// inside one window).
+  /// queries, post-copy and per-session tracing (those seams would touch
+  /// two shards inside one window: a post-copy fetch completes on the
+  /// destination shard but reads source memory).
   sim::Simulator* dest_simulator = nullptr;
 
   /// Where the forward channel (source -> destination) lands its delivery
@@ -74,18 +75,18 @@ struct MigrationRun {
   /// pre-session channel ids 0/1.
   std::uint64_t session_id = 0;
 
-  /// When true, the session itself performs the paper's §4.4 post-copy
+  /// When true, the session itself performs the paper's §4.4
   /// bookkeeping step — writing the departed VM's checkpoint to the
   /// *source* host's store at completion — as its final state-machine
-  /// phase. The synchronous facade leaves this off (the orchestrator does
-  /// the write-back after RunMigration, as before); the scheduler turns it
-  /// on so overlapping sessions book their checkpoint writes inside the
-  /// shared event loop.
+  /// phase. core::MakeMigrationRun turns it on for both the orchestrator
+  /// and the scheduler, so overlapping sessions book their checkpoint
+  /// writes inside the shared event loop.
   bool write_back_checkpoint = false;
 
   /// Invoked exactly once, when the session reaches SessionPhase::kDone:
-  /// the destination runs the VM, the source has seen the final done-ack,
-  /// and the optional checkpoint write-back has been booked. TakeOutcome()
+  /// the destination runs the VM, the source has seen the final done-ack
+  /// (post-copy: every page is resident), and the optional checkpoint
+  /// write-back has been booked. TakeOutcome()
   /// is legal from inside the callback. The scheduler uses this to admit
   /// queued migrations the moment capacity frees up.
   std::function<void(SimTime)> on_complete;
@@ -153,7 +154,9 @@ struct MigrationRun {
   /// every attempt and session of a fleet). Wins over config.faults and
   /// VECYCLE_FAULTS; when null and either of those enables faults, the
   /// session creates a private injector. The caller owns the injector
-  /// and must outlive the session.
+  /// and must outlive the session. Post-copy sessions reject every
+  /// injector: a cut during residency is fatal to the VM, an outcome the
+  /// session does not model.
   fault::FaultInjector* injector = nullptr;
 
   /// Invoked at most once, when an injected link outage cuts one of this
@@ -184,15 +187,20 @@ struct MigrationOutcome {
 MigrationOutcome RunMigration(MigrationRun run);
 
 /// Explicit state machine of one migration session. Phases advance
-/// strictly in declaration order (kCheckpointWriteBack is skipped unless
-/// MigrationRun::write_back_checkpoint is set); a transition that would
+/// strictly in declaration order; each mode skips the phases it lacks
+/// (pre-copy never enters kResidency, post-copy never enters kPreCopy,
+/// and kCheckpointWriteBack is skipped unless
+/// MigrationRun::write_back_checkpoint is set). A transition that would
 /// run backwards throws CheckFailure. kFailed is terminal and reachable
 /// from every phase except kDone (an injected link outage aborts the
 /// attempt; the VM keeps running at the source).
 enum class SessionPhase {
   kHashExchange,        ///< destination setup + §3.2 bulk hash transfer
   kPreCopy,             ///< iterative copy rounds, guest still running
-  kStopAndCopy,         ///< VM paused, final dirty set in flight
+  kStopAndCopy,         ///< VM paused: final dirty set, or the post-copy
+                        ///< switchover (device state + checksum vector)
+  kResidency,           ///< post-copy: VM runs at the destination while
+                        ///< pages are prefetched or demand-faulted
   kCheckpointWriteBack, ///< §4.4 source-side checkpoint write
   kDone,                ///< VM runs at the destination
   kFailed,              ///< aborted by an injected fault; VM still at source

@@ -66,7 +66,7 @@ obs::MetricsRecord& RecordMigrationStats(obs::MetricsRegistry& registry,
 
 obs::MetricsRecord& RecordPostCopyStats(obs::MetricsRegistry& registry,
                                         std::string_view label,
-                                        const PostCopyStats& stats) {
+                                        const MigrationStats& stats) {
   auto& record = registry.NewRecord(label, "postcopy");
   record.Counter("remote_faults", stats.remote_faults);
   record.Counter("pages_prefetched", stats.pages_prefetched);

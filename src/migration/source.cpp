@@ -447,8 +447,9 @@ void SourceActor::BeginRound(SimTime start, std::vector<vm::PageId> pages,
         round_ == 1 ? params_.memory->PageCount() : round_pages_.size();
     tracer.Arg(tracer.Name("pages"), pending);
   }
-  params_.simulator->ScheduleAt(std::max(start, params_.simulator->Now()),
-                                Guarded([this] { PumpBatches(); }));
+  params_.simulator->ScheduleAt(
+      std::max(start, params_.simulator->Now()),
+      sim::GuardedBy(params_.lifetime, [this] { PumpBatches(); }));
 }
 
 void SourceActor::PumpBatches() {
@@ -494,7 +495,8 @@ void SourceActor::PumpBatches() {
         next = std::max(next, min_slot);
       }
     }
-    params_.simulator->ScheduleAt(next, Guarded([this] { PumpBatches(); }));
+    params_.simulator->ScheduleAt(
+        next, sim::GuardedBy(params_.lifetime, [this] { PumpBatches(); }));
     return;
   }
   FinishRound();

@@ -121,20 +121,6 @@ class SourceActor {
   [[nodiscard]] bool Started() const { return started_; }
 
  private:
-  /// Wraps a closure with the lifetime-token guard before it goes on the
-  /// simulator's event heap.
-  template <typename F>
-  [[nodiscard]] auto Guarded(F f) const {
-    return [guard = std::weak_ptr<const bool>(params_.lifetime),
-            guarded = params_.lifetime != nullptr, f = std::move(f)] {
-      if (guarded) {
-        const auto alive = guard.lock();
-        if (alive == nullptr || !*alive) return;
-      }
-      f();
-    };
-  }
-
   /// Answers a kResendRequest: full-content records for every page whose
   /// checksum-only record the destination could not satisfy locally.
   void ServeResend(const std::vector<vm::PageId>& pages, SimTime arrival);

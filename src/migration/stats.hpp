@@ -86,6 +86,20 @@ struct MigrationStats {
   std::uint64_t throttle_rounds = 0;
   double max_throttle = 0.0;
 
+  // Post-copy mode (MigrationConfig::postcopy; zero in pre-copy). There,
+  // downtime is the switchover gap, total_time runs from the switchover
+  // to full residency, and pages_from_checkpoint counts checkpoint pages
+  // that never crossed the network.
+  /// Switchover until every page is resident at the destination.
+  SimDuration time_to_residency = SimDuration::zero();
+  /// Guest stall time accumulated on remote demand faults — post-copy's
+  /// notorious cost.
+  SimDuration total_stall = SimDuration::zero();
+  std::uint64_t remote_faults = 0;
+  std::uint64_t pages_prefetched = 0;
+  /// The switchover checksum-vector shipment (kHashes only).
+  Bytes checksum_vector_bytes;
+
   /// Field-wise equality — the caching-invariance tests assert that two
   /// runs of the same scenario report identical simulated quantities.
   friend bool operator==(const MigrationStats&,

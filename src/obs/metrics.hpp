@@ -7,7 +7,7 @@
 // schema is validated by tools/validate_metrics.py.
 //
 // The registry itself is schema-agnostic; the adapters that translate
-// MigrationStats / PostCopyStats into full records (every field plus
+// MigrationStats into full pre-copy or post-copy records (every field plus
 // guarded derived rates) live with the structs they read, in
 // migration/observe.hpp — obs stays below the migration layer.
 #pragma once

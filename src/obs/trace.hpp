@@ -17,10 +17,9 @@
 // off, making the disabled path a single pointer test — the same pattern
 // as the audit layer's AuditSink.
 //
-// Enablement mirrors `audit`: MigrationConfig::trace /
-// PostCopyConfig::trace, the VECYCLE_TRACE environment variable (via the
-// process-wide GlobalTrace() recorder), or an explicit recorder handed to
-// the run.
+// Enablement mirrors `audit`: MigrationConfig::trace, the VECYCLE_TRACE
+// environment variable (via the process-wide GlobalTrace() recorder), or
+// an explicit recorder handed to the run.
 #pragma once
 
 #include <cstdint>

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,23 @@ class DeliveryExecutor {
   virtual ~DeliveryExecutor() = default;
   virtual void DeliverAt(SimTime when, std::function<void()> action) = 0;
 };
+
+/// Wraps `action` with a lifetime-token guard before it goes on an event
+/// heap: the closure runs only while `lifetime` is alive and true, so
+/// events an owner queued fire as no-ops once it is torn down or aborted.
+/// A null token leaves the action unguarded.
+template <typename F>
+[[nodiscard]] auto GuardedBy(const std::shared_ptr<const bool>& lifetime,
+                             F action) {
+  return [guard = std::weak_ptr<const bool>(lifetime),
+          guarded = lifetime != nullptr, action = std::move(action)] {
+    if (guarded) {
+      const auto alive = guard.lock();
+      if (alive == nullptr || !*alive) return;
+    }
+    action();
+  };
+}
 
 /// Deterministic event loop. Events fire in (time, insertion-sequence)
 /// order, so two events at the same timestamp run in the order they were

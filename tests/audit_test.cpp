@@ -14,7 +14,6 @@
 #include "common/rng.hpp"
 #include "digest/digest_memo.hpp"
 #include "migration/engine.hpp"
-#include "migration/postcopy.hpp"
 #include "storage/checkpoint.hpp"
 #include "vm/workload.hpp"
 
@@ -260,15 +259,15 @@ TEST(PostCopyAudit, ResidencyConservationAndDigestRunGreen) {
   churn.Advance(memory, Seconds(5.0));
 
   SimAuditor auditor;
-  migration::PostCopyRun run;
+  migration::MigrationRun run;
   run.simulator = &simulator;
   run.link = &link;
   run.source_memory = &memory;
-  run.source_cpu = &src_cpu;
-  run.dest_cpu = &dst_cpu;
-  run.dest_store = &dst_store;
+  run.source = {&src_cpu, nullptr};
+  run.destination = {&dst_cpu, &dst_store};
+  run.config.postcopy.enabled = true;
   run.auditor = &auditor;
-  const auto outcome = migration::RunPostCopyMigration(std::move(run));
+  const auto outcome = migration::RunMigration(std::move(run));
 
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
   EXPECT_EQ(outcome.stats.pages_from_checkpoint +

@@ -14,7 +14,6 @@
 #include "core/host.hpp"
 #include "migration/config.hpp"
 #include "migration/engine.hpp"
-#include "migration/postcopy.hpp"
 #include "core/scheduler.hpp"
 #include "policy/placement.hpp"
 #include "policy/policies.hpp"
@@ -325,6 +324,75 @@ TEST(PostCopyConfigValidate, RejectsEachInvalidFieldDistinctly) {
       "switchover_state must be positive"));
   ExpectDistinct(messages);
   EXPECT_NO_THROW(PostCopyConfig{}.Validate());
+}
+
+TEST(PostCopyConfigValidate, CheckedEvenWhenDisabled) {
+  migration::PostCopyConfig config;
+  config.enabled = false;
+  config.prefetch_batch = 0;
+  EXPECT_THROW(config.Validate(), CheckFailure);
+}
+
+TEST(MigrationConfigValidate, PostCopyRejectsEachIncompatibleSetting) {
+  using migration::MigrationConfig;
+  using migration::Strategy;
+  // Post-copy composes with checkpoint recycling (kHashes) or runs cold
+  // (kFull); every other strategy trips the same strategy check.
+  for (const Strategy strategy :
+       {Strategy::kDedup, Strategy::kDirtyTracking, Strategy::kDirtyPlusDedup,
+        Strategy::kHashesPlusDedup}) {
+    RejectionMessage<MigrationConfig>(
+        [strategy](auto& c) {
+          c.postcopy.enabled = true;
+          c.strategy = strategy;
+        },
+        "post-copy strategy must be kHashes or kFull");
+  }
+  std::vector<std::string> messages;
+  messages.push_back(RejectionMessage<MigrationConfig>(
+      [](auto& c) {
+        c.postcopy.enabled = true;
+        c.multifd.enabled = true;
+      },
+      "post-copy does not compose with multifd"));
+  messages.push_back(RejectionMessage<MigrationConfig>(
+      [](auto& c) {
+        c.postcopy.enabled = true;
+        c.delta.enabled = true;
+      },
+      "post-copy does not compose with delta encoding"));
+  messages.push_back(RejectionMessage<MigrationConfig>(
+      [](auto& c) {
+        c.postcopy.enabled = true;
+        c.auto_converge.enabled = true;
+      },
+      "post-copy does not compose with auto-converge"));
+  messages.push_back(RejectionMessage<MigrationConfig>(
+      [](auto& c) {
+        c.postcopy.enabled = true;
+        c.compression.enabled = true;
+      },
+      "post-copy does not compose with compression"));
+  messages.push_back(RejectionMessage<MigrationConfig>(
+      [](auto& c) { c.postcopy.switchover_state = Bytes{0}; },
+      "switchover_state must be positive"));
+  ExpectDistinct(messages);
+
+  // The two supported compositions, and the capabilities that stay legal
+  // in pre-copy.
+  for (const Strategy strategy : {Strategy::kHashes, Strategy::kFull}) {
+    MigrationConfig config;
+    config.postcopy.enabled = true;
+    config.strategy = strategy;
+    EXPECT_NO_THROW(config.Validate());
+  }
+  MigrationConfig precopy;
+  precopy.strategy = Strategy::kDirtyPlusDedup;
+  precopy.multifd.enabled = true;
+  precopy.delta.enabled = true;
+  precopy.auto_converge.enabled = true;
+  precopy.compression.enabled = true;
+  EXPECT_NO_THROW(precopy.Validate());
 }
 
 TEST(SchedulerConfigValidate, RejectsNegativeBackoff) {

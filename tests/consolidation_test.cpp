@@ -76,18 +76,6 @@ VmInstance MakeVm(const std::string& id, std::uint64_t seed) {
   return vm;
 }
 
-// --- ActivitySensor. ---
-
-TEST(ActivitySensor, RateFromConsecutiveObservations) {
-  ActivitySensor sensor;
-  sensor.Observe(1000, Seconds(0.0));
-  EXPECT_DOUBLE_EQ(sensor.WritesPerSecond(), 0.0);  // not primed
-  sensor.Observe(1500, Seconds(10.0));
-  EXPECT_DOUBLE_EQ(sensor.WritesPerSecond(), 50.0);
-  sensor.Observe(1500, Seconds(20.0));
-  EXPECT_DOUBLE_EQ(sensor.WritesPerSecond(), 0.0);
-}
-
 // --- Policy validation. ---
 
 TEST(ConsolidationPolicy, RejectsInvertedHysteresis) {

@@ -375,6 +375,25 @@ std::vector<Digest128> RandomCorpus(std::uint64_t n, std::uint64_t seed) {
   return corpus;
 }
 
+// FNV digests are widened as FromWords(fnv, 0): a slot hash of words[1]
+// alone sends all of them to one slot. The shared SlotHash must spread
+// them like any other digest.
+TEST(SlotHash, SpreadsFnvWidenedDigests) {
+  constexpr std::uint64_t kMask = 8192 - 1;
+  std::vector<bool> used(kMask + 1, false);
+  std::size_t slots = 0;
+  for (std::uint64_t i = 0; i < 4096; ++i) {
+    const Digest128 digest = FnvDigest(&i, sizeof i);
+    ASSERT_EQ(digest.words[1], 0u);
+    const std::uint64_t slot = SlotHash(digest) & kMask;
+    if (!used[slot]) {
+      used[slot] = true;
+      ++slots;
+    }
+  }
+  EXPECT_GT(slots, 4096u / 2);
+}
+
 TEST(DigestSet, EmptySetContainsNothing) {
   const DigestSet set{std::vector<Digest128>{}};
   EXPECT_TRUE(set.Empty());

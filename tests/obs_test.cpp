@@ -15,7 +15,6 @@
 #include "common/rng.hpp"
 #include "migration/engine.hpp"
 #include "migration/observe.hpp"
-#include "migration/postcopy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "storage/checkpoint.hpp"
@@ -421,16 +420,16 @@ TEST(PostCopyTrace, EmitsPhasesFaultsAndMetrics) {
 
   obs::TraceRecorder tracer;
   obs::MetricsRegistry metrics;
-  migration::PostCopyRun run;
+  migration::MigrationRun run;
   run.simulator = &simulator;
   run.link = &link;
   run.source_memory = &memory;
-  run.source_cpu = &src_cpu;
-  run.dest_cpu = &dst_cpu;
-  run.dest_store = &dst_store;
+  run.source = {&src_cpu, nullptr};
+  run.destination = {&dst_cpu, &dst_store};
+  run.config.postcopy.enabled = true;
   run.tracer = &tracer;
   run.metrics = &metrics;
-  const auto outcome = migration::RunPostCopyMigration(std::move(run));
+  const auto outcome = migration::RunMigration(std::move(run));
   EXPECT_EQ(simulator.Tracer(), nullptr);  // detached on completion
 
   const std::string json = tracer.ChromeTraceJson();
@@ -445,7 +444,7 @@ TEST(PostCopyTrace, EmitsPhasesFaultsAndMetrics) {
   ASSERT_EQ(metrics.Count(), 1u);
   const auto& record = metrics.Records().front();
   EXPECT_EQ(record.kind, "postcopy");
-  EXPECT_EQ(record.counters.size(), 8u);  // every PostCopyStats field
+  EXPECT_EQ(record.counters.size(), 8u);  // every post-copy stats field
   EXPECT_EQ(record.gauges.size(), 3u);
 }
 

@@ -115,6 +115,19 @@ TEST(CycleDetector, ClippedFirstRunNeverExtrapolates) {
   EXPECT_EQ(whole.TimeToLowChurn(At(7.0)), Hours(3.0));
 }
 
+// The per-interval rate ConsolidationManager reads: zero until a second
+// sample exists, then the latest interval's writes per second alone.
+TEST(CycleDetector, UnprimedReadsZeroThenRatesEachInterval) {
+  vm::CycleDetector detector;
+  EXPECT_DOUBLE_EQ(detector.LatestRate(), 0.0);
+  detector.AddSample(kSimEpoch, 1000);
+  EXPECT_DOUBLE_EQ(detector.LatestRate(), 0.0);  // anchored, no interval
+  detector.AddSample(kSimEpoch + Seconds(10.0), 1500);
+  EXPECT_DOUBLE_EQ(detector.LatestRate(), 50.0);
+  detector.AddSample(kSimEpoch + Seconds(20.0), 1500);
+  EXPECT_DOUBLE_EQ(detector.LatestRate(), 0.0);
+}
+
 TEST(CycleDetector, ReanchorKeepsHistoryAcrossCounterReplacement) {
   vm::CycleDetector detector;
   detector.AddSample(At(1.0), 1000);

@@ -5,8 +5,8 @@ Usage:
     tools/validate_metrics.py METRICS_JSON [--trace TRACE_JSON]
 
 Checks that METRICS_JSON follows the vecycle.metrics.v1 schema and that
-every "precopy" record carries the full MigrationStats field set (and
-every "postcopy" record the full PostCopyStats set), so a stats field
+every "precopy" record carries the full pre-copy MigrationStats field
+set (and every "postcopy" record the full post-copy set), so a stats field
 added without extending migration/observe.cpp fails CI here. "store"
 records (per-host CheckpointStore counters, emitted by the VDI example
 when tracing is on) must carry the full chunk-store counter set plus
@@ -200,11 +200,12 @@ def validate_trace(path):
             require(event.get("dur", 0) >= 0, "span durations must be >= 0")
             spans_by_pid.setdefault(event["pid"], set()).add(event["name"])
 
-    # Every migration process (one per strategy in the fig5 sweep) must
-    # carry its per-round spans.
+    # Every pre-copy migration process (one per strategy in the fig5
+    # sweep) must carry its per-round spans. Post-copy sessions
+    # ("<vm>/postcopy", "#<session id>" under a scheduler) have no rounds.
     migrations = 0
     for pid, label in processes.items():
-        if label.endswith("/postcopy") or "/" not in label:
+        if label.split("#")[0].endswith("/postcopy") or "/" not in label:
             continue
         migrations += 1
         require("round 1" in spans_by_pid.get(pid, set()),
