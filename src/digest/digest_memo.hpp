@@ -4,9 +4,12 @@
 // content seed, so the real MD5/SHA of a materialized 4 KiB page is a pure
 // function of (algorithm, seed). Every migration leg builds a fresh
 // destination memory and a fresh checkpoint index over the very seeds the
-// source just hashed; this table lets each distinct content be hashed once
-// per thread instead of once per object and pass. It is the only digest
-// cache in the library: seed-mode digests are a pure mix and need none.
+// source just hashed; this table lets each distinct content be expanded
+// and hashed once per thread instead of once per object and pass. No page
+// image is kept anywhere: on a miss, vm::ContentDigest expands the image
+// from the seed into a stack buffer, hashes it and records only the
+// digest. It is the only digest cache in the library: seed-mode digests
+// are a pure mix and need none.
 // Results are bit-identical by construction (the computation is pure),
 // only wall-clock time changes — simulated CPU time is charged by the
 // ChecksumEngine and is unaffected.

@@ -24,7 +24,7 @@ void MaterializePage(std::uint64_t seed, std::span<std::byte> out) {
 }
 
 Digest128 ContentDigest(ContentMode mode, DigestAlgorithm algorithm,
-                        std::uint64_t seed, std::span<const std::byte> image) {
+                        std::uint64_t seed) {
   if (mode == ContentMode::kSeedOnly) {
     // Odd multiplier: distinct algorithms give distinct salts.
     const std::uint64_t salt =
@@ -34,12 +34,8 @@ Digest128 ContentDigest(ContentMode mode, DigestAlgorithm algorithm,
   }
   auto& memo = SeedDigestMemo::Instance();
   if (const auto hit = memo.Find(algorithm, seed)) return *hit;
-  std::array<std::byte, kPageSize> expanded;
-  if (image.empty()) {
-    MaterializePage(seed, expanded);
-    image = expanded;
-  }
-  VEC_CHECK(image.size() == kPageSize);
+  std::array<std::byte, kPageSize> image{};
+  MaterializePage(seed, image);
   const Digest128 digest = ComputeDigest(algorithm, image);
   memo.Store(algorithm, seed, digest);
   return digest;
@@ -54,9 +50,6 @@ GuestMemory::GuestMemory(Bytes ram_size, ContentMode mode,
   VEC_CHECK_MSG(pages > 0, "empty guest memory");
   seeds_.assign(pages, kZeroPageSeed);
   generations_.assign(pages, 0);
-  if (mode_ == ContentMode::kMaterialized) {
-    backing_.assign(pages * kPageSize, std::byte{0});
-  }
 }
 
 void GuestMemory::CheckPage(PageId page) const {
@@ -75,11 +68,6 @@ void GuestMemory::WriteBurst(PageId page, std::uint64_t count,
   seeds_[page] = content_seed;
   generations_[page] += count;
   total_writes_ += count;
-  if (mode_ == ContentMode::kMaterialized) {
-    MaterializePage(content_seed,
-                    std::span<std::byte>(backing_.data() + page * kPageSize,
-                                         kPageSize));
-  }
 }
 
 void GuestMemory::CopyPage(PageId from, PageId to) {
@@ -100,10 +88,7 @@ void GuestMemory::SetGenerations(std::vector<std::uint64_t> generations) {
 
 Digest128 GuestMemory::PageDigest(PageId page) const {
   CheckPage(page);
-  if (mode_ == ContentMode::kSeedOnly) {
-    return ContentDigest(mode_, algorithm_, seeds_[page]);
-  }
-  return ContentDigest(mode_, algorithm_, seeds_[page], PageBytes(page));
+  return ContentDigest(mode_, algorithm_, seeds_[page]);
 }
 
 std::uint64_t GuestMemory::ContentHash64(PageId page) const {
@@ -114,20 +99,7 @@ std::uint64_t GuestMemory::ContentHash64(PageId page) const {
 
 void GuestMemory::ReadPage(PageId page, std::span<std::byte> out) const {
   CheckPage(page);
-  VEC_CHECK(out.size() == kPageSize);
-  if (mode_ == ContentMode::kMaterialized) {
-    std::memcpy(out.data(), backing_.data() + page * kPageSize, kPageSize);
-  } else {
-    MaterializePage(seeds_[page], out);
-  }
-}
-
-std::span<const std::byte> GuestMemory::PageBytes(PageId page) const {
-  CheckPage(page);
-  VEC_CHECK_MSG(mode_ == ContentMode::kMaterialized,
-                "PageBytes requires materialized memory");
-  return std::span<const std::byte>(backing_.data() + page * kPageSize,
-                                    kPageSize);
+  MaterializePage(seeds_[page], out);
 }
 
 bool GuestMemory::ContentEquals(const GuestMemory& other) const {

@@ -4,17 +4,19 @@
 // tracking, and VeCycle's content-based redundancy elimination — depends
 // only on (a) which pages carry identical content and (b) which pages were
 // written when. GuestMemory therefore identifies each page's content by a
-// 64-bit seed: equal seed ⇔ equal content. Two representations share that
-// semantic:
+// 64-bit seed: equal seed ⇔ equal content. Memory stores only the seed
+// and the generation counter of each page (16 B/page instead of 4 KiB),
+// letting benches model 6 GiB VMs (1.57 M pages) in ~24 MiB. In both
+// modes a page's 4 KiB image is expanded from its seed when something
+// reads it (ReadPage); no image is kept resident. The two modes differ in
+// how page content is named:
 //
-//  * kSeedOnly   — only the seed vector is stored (8 B/page instead of
-//                  4 KiB/page), letting benches model 6 GiB VMs (1.57 M
-//                  pages) in ~12 MiB. A page digest is a bijective mix of
-//                  the seed: collision-free, and free to compute.
-//  * kMaterialized — a real 4 KiB byte image per page, deterministically
-//                  expanded from the seed. Digests are real MD5/SHA over
-//                  the bytes, and integration tests use this mode to prove
-//                  the migration protocol reconstructs memory byte-for-byte.
+//  * kSeedOnly   — a page digest is a bijective mix of the seed:
+//                  collision-free, and free to compute.
+//  * kMaterialized — a page digest is real MD5/SHA over the expanded
+//                  4 KiB image (memoized per seed), and integration tests
+//                  use this mode to prove the migration protocol
+//                  reconstructs memory byte-for-byte.
 //
 // ContentDigest() is the one definition of page content identity in both
 // modes; GuestMemory, checkpoint indexes and the destination's cross-checks
@@ -58,13 +60,11 @@ void MaterializePage(std::uint64_t seed, std::span<std::byte> out);
 ///    in (seed, algorithm), so it never collides; simulated checksum cost
 ///    is charged by sim::ChecksumEngine, not by this computation.
 ///  * kMaterialized: the real digest of the 4 KiB page image, memoized per
-///    (algorithm, seed) in SeedDigestMemo. On a miss it hashes `image`
-///    when the caller holds the page's bytes, and otherwise expands them
-///    from the seed.
+///    (algorithm, seed) in SeedDigestMemo. On a miss it expands the image
+///    from the seed and hashes it.
 [[nodiscard]] Digest128 ContentDigest(ContentMode mode,
                                       DigestAlgorithm algorithm,
-                                      std::uint64_t seed,
-                                      std::span<const std::byte> image = {});
+                                      std::uint64_t seed);
 
 class GuestMemory {
  public:
@@ -94,8 +94,7 @@ class GuestMemory {
 
   /// `count` back-to-back writes to `page`, the last of which stores
   /// `content_seed`: generation and TotalWrites() rise by `count`, and
-  /// the content (the page image, in kMaterialized mode) is updated
-  /// once. A count of 0 changes nothing.
+  /// the content seed is updated once. A count of 0 changes nothing.
   void WriteBurst(PageId page, std::uint64_t count,
                   std::uint64_t content_seed);
 
@@ -119,19 +118,16 @@ class GuestMemory {
   /// Total writes ever applied; cheap global change detector for tests.
   [[nodiscard]] std::uint64_t TotalWrites() const { return total_writes_; }
 
-  /// ContentDigest of the page under this memory's mode and algorithm;
-  /// in kMaterialized mode a memo miss hashes the page's own bytes.
+  /// ContentDigest of the page's seed under this memory's mode and
+  /// algorithm.
   [[nodiscard]] Digest128 PageDigest(PageId page) const;
 
   /// 64-bit content hash for fingerprinting and analysis: words[0] of the
   /// seed-mode ContentDigest, in both modes.
   [[nodiscard]] std::uint64_t ContentHash64(PageId page) const;
 
-  /// Copies the page's (possibly expanded) bytes into `out` (4 KiB).
+  /// Expands the page's 4 KiB image from its seed into `out`.
   void ReadPage(PageId page, std::span<std::byte> out) const;
-
-  /// Direct view of a materialized page; invalid in kSeedOnly mode.
-  [[nodiscard]] std::span<const std::byte> PageBytes(PageId page) const;
 
   /// True iff both memories have identical content page-by-page.
   [[nodiscard]] bool ContentEquals(const GuestMemory& other) const;
@@ -150,7 +146,6 @@ class GuestMemory {
   DigestAlgorithm algorithm_;
   std::vector<std::uint64_t> seeds_;
   std::vector<std::uint64_t> generations_;
-  std::vector<std::byte> backing_;  // PageCount()*kPageSize in kMaterialized
   std::uint64_t total_writes_ = 0;
 };
 

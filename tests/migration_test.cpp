@@ -4,6 +4,7 @@
 // skips, dedup references, multi-round convergence, stop-and-copy).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "common/check.hpp"
@@ -136,11 +137,63 @@ TEST(Migration, MaterializedModeReconstructsBytes) {
   config.strategy = Strategy::kHashes;
   auto outcome = RunMigration(bed.MakeRun(memory, config));
   ASSERT_EQ(outcome.dest_memory->Mode(), vm::ContentMode::kMaterialized);
+  std::array<std::byte, kPageSize> src;
+  std::array<std::byte, kPageSize> dst;
   for (vm::PageId p = 0; p < memory.PageCount(); ++p) {
-    const auto src = memory.PageBytes(p);
-    const auto dst = outcome.dest_memory->PageBytes(p);
-    ASSERT_TRUE(std::equal(src.begin(), src.end(), dst.begin()))
-        << "page " << p;
+    memory.ReadPage(p, src);
+    outcome.dest_memory->ReadPage(p, dst);
+    ASSERT_EQ(src, dst) << "page " << p;
+  }
+}
+
+/// True iff every page of `memory` reads back as its seed's expansion.
+bool ReadsAsItsSeeds(const vm::GuestMemory& memory) {
+  std::array<std::byte, kPageSize> read;
+  std::array<std::byte, kPageSize> expanded;
+  for (vm::PageId p = 0; p < memory.PageCount(); ++p) {
+    memory.ReadPage(p, read);
+    vm::MaterializePage(memory.Seed(p), expanded);
+    if (read != expanded) return false;
+  }
+  return true;
+}
+
+// Page bytes are never stored: whatever path last changed a page — a
+// write burst, a frame copy, a checkpoint restore or a migration's
+// reconstruction — reading it expands its current seed.
+TEST(GuestMemory, ReadPageExpandsTheSeedInBothModes) {
+  for (const auto mode :
+       {vm::ContentMode::kSeedOnly, vm::ContentMode::kMaterialized}) {
+    SCOPED_TRACE(mode == vm::ContentMode::kSeedOnly ? "seed" : "materialized");
+    TestBed bed;
+    auto memory = RandomMemory(MiB(2), 6, mode);
+    memory.WriteBurst(1, 5, 0xabc);
+    memory.CopyPage(1, 2);
+    memory.CopyPage(3, 4);
+    EXPECT_TRUE(ReadsAsItsSeeds(memory));
+
+    const auto checkpoint = storage::Checkpoint::CaptureFrom(memory);
+    vm::GuestMemory restored(memory.RamSize(), mode);
+    checkpoint.RestoreInto(restored);
+    EXPECT_TRUE(restored.ContentEquals(memory));
+    EXPECT_TRUE(ReadsAsItsSeeds(restored));
+
+    // A return trip against that checkpoint, after the guest moved some
+    // content to other frames and wrote fresh content elsewhere.
+    const auto departure_generations = memory.Generations();
+    bed.dst_store.Save("vm", checkpoint, kSimEpoch);
+    for (vm::PageId p = 100; p < 164; ++p) memory.CopyPage(p + 1, p);
+    vm::UniformRandomWorkload churn(100.0, 7);
+    churn.Advance(memory, Seconds(2.0));
+    MigrationConfig config;
+    config.strategy = Strategy::kHashesPlusDedup;
+    auto run = bed.MakeRun(memory, config);
+    run.departure_generations = departure_generations;
+    auto outcome = RunMigration(std::move(run));
+    ASSERT_TRUE(outcome.dest_memory->ContentEquals(memory));
+    EXPECT_GT(outcome.stats.pages_matched_in_place, 0u);
+    EXPECT_GT(outcome.stats.pages_from_checkpoint, 0u);
+    EXPECT_TRUE(ReadsAsItsSeeds(*outcome.dest_memory));
   }
 }
 

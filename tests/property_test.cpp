@@ -297,7 +297,7 @@ std::vector<SweepCase> SweepCases() {
          {vm::ContentMode::kSeedOnly, vm::ContentMode::kMaterialized}) {
       for (const std::uint64_t ram : {4ull, 16ull}) {
         for (const double churn : {0.0, 200.0}) {
-          // Materialized mode only at the small size (it carries real
+          // Materialized mode only at the small size (it hashes real
           // 4 KiB images).
           if (mode == vm::ContentMode::kMaterialized && ram > 4) continue;
           cases.push_back(SweepCase{strategy, mode, ram, churn});

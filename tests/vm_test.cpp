@@ -12,6 +12,7 @@
 #include "common/check.hpp"
 #include "digest/digest_memo.hpp"
 #include "digest/hasher.hpp"
+#include "digest/md5.hpp"
 #include "vm/dirty_tracker.hpp"
 #include "vm/guest_memory.hpp"
 #include "vm/workload.hpp"
@@ -41,6 +42,31 @@ TEST(MaterializePage, DistinctSeedsGiveDistinctContent) {
   MaterializePage(1, a);
   MaterializePage(2, b);
   EXPECT_NE(a, b);
+}
+
+// Page images hashed by md5sum (GNU coreutils); these pin the MD5 kernel
+// on whole 4 KiB pages, beyond the RFC 1321 suite in digest_test.
+TEST(MaterializePage, Md5OfTheImageIsPinned) {
+  std::array<std::byte, kPageSize> page;
+  MaterializePage(55, page);
+  EXPECT_EQ(Md5Digest(page).ToHex(), "b7922990d31be2a9c2e3f5b7d5bf5207");
+}
+
+TEST(MaterializePage, Md5OverUnevenUpdatesIsPinned) {
+  std::array<std::byte, kPageSize> page;
+  MaterializePage(0xfeed, page);
+  // Chunks that start and end mid-block, fill it exactly, and span it.
+  constexpr std::array<std::size_t, 8> kChunks = {1, 63, 64, 65,
+                                                  7, 127, 128, 500};
+  Md5 md5;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; offset < page.size(); ++i) {
+    const std::size_t len =
+        std::min(kChunks[i % kChunks.size()], page.size() - offset);
+    md5.Update(std::span<const std::byte>(page).subspan(offset, len));
+    offset += len;
+  }
+  EXPECT_EQ(md5.Finalize().ToHex(), "558b988e34f8efc28cd53b35bc7f74c2");
 }
 
 // --- GuestMemory basics. ---
@@ -102,10 +128,11 @@ TEST(WriteBurst, ZeroCountIsANoOp) {
   EXPECT_EQ(memory.Seed(5), 77u);
   EXPECT_EQ(memory.Generation(5), 1u);
   EXPECT_EQ(memory.TotalWrites(), 1u);
-  std::array<std::byte, kPageSize> bytes;
-  MaterializePage(77, bytes);
-  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
-                         memory.PageBytes(5).begin()));
+  std::array<std::byte, kPageSize> expected;
+  std::array<std::byte, kPageSize> read;
+  MaterializePage(77, expected);
+  memory.ReadPage(5, read);
+  EXPECT_EQ(read, expected);
 }
 
 TEST(WriteBurst, GenerationAndTotalRiseByCount) {
@@ -123,10 +150,11 @@ TEST(WriteBurst, GenerationAndTotalRiseByCount) {
 TEST(WriteBurst, MaterializesTheLastStoredContent) {
   GuestMemory memory(MiB(1), ContentMode::kMaterialized);
   memory.WriteBurst(3, 12, 4242);
-  std::array<std::byte, kPageSize> bytes;
-  MaterializePage(memory.Seed(3), bytes);
-  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
-                         memory.PageBytes(3).begin()));
+  std::array<std::byte, kPageSize> expected;
+  std::array<std::byte, kPageSize> read;
+  MaterializePage(4242, expected);
+  memory.ReadPage(3, read);
+  EXPECT_EQ(read, expected);
 }
 
 TEST(WriteBurst, OutOfRangePageThrows) {
@@ -174,17 +202,31 @@ TEST(GuestMemory, MaterializedDigestHashesRealBytes) {
 }
 
 TEST(GuestMemory, ReadPageAgreesWithPageBytes) {
+  // The page's bytes are those its seed expands to, and only a write
+  // changes them.
   GuestMemory memory(MiB(1), ContentMode::kMaterialized);
   memory.WritePage(4, 99);
-  std::array<std::byte, kPageSize> copy;
-  memory.ReadPage(4, copy);
-  const auto view = memory.PageBytes(4);
-  EXPECT_TRUE(std::equal(copy.begin(), copy.end(), view.begin()));
+  std::array<std::byte, kPageSize> expected;
+  std::array<std::byte, kPageSize> first;
+  std::array<std::byte, kPageSize> second;
+  MaterializePage(99, expected);
+  memory.ReadPage(4, first);
+  memory.WritePage(5, 100);
+  memory.ReadPage(4, second);
+  EXPECT_EQ(first, expected);
+  EXPECT_EQ(second, expected);
+  EXPECT_THROW(memory.ReadPage(4, std::span<std::byte>(first).first(8)),
+               CheckFailure);
 }
 
-TEST(GuestMemory, PageBytesThrowsInSeedMode) {
-  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
-  EXPECT_THROW((void)memory.PageBytes(0), CheckFailure);
+TEST(GuestMemory, MaterializedMemoryHoldsNoPageImages) {
+  // 2 Mi pages: 32 MiB of seeds and generations, no 8 GiB of bytes.
+  GuestMemory memory(GiB(8), ContentMode::kMaterialized);
+  const PageId last = memory.PageCount() - 1;
+  memory.WritePage(last, 55);
+  EXPECT_EQ(memory.PageDigest(last).ToHex(),
+            "b7922990d31be2a9c2e3f5b7d5bf5207");
+  EXPECT_EQ(memory.CountZeroPages(), memory.PageCount() - 1);
 }
 
 TEST(GuestMemory, ContentEqualsComparesContent) {
