@@ -1,5 +1,6 @@
 // Wall-clock performance harness for the hot paths this repo's benches
-// lean on: page hashing (real MD5 vs the seed-mode mix), digest-set
+// lean on: page hashing (real MD5 one page at a time and through the
+// lane-parallel kernel, vs the seed-mode mix), digest-set
 // construction and membership probing (flat hash set vs the sorted-vector
 // baseline it replaced), simulator event throughput, and the full six-strategy
 // migration sweep of bench_fig5. Workloads are deterministic (fixed
@@ -21,6 +22,7 @@
 #include "core/vm_instance.hpp"
 #include "digest/digest_set.hpp"
 #include "digest/hasher.hpp"
+#include "digest/md5_lanes.hpp"
 #include "sim/simulator.hpp"
 #include "vm/guest_memory.hpp"
 
@@ -78,16 +80,24 @@ std::vector<Digest128> RandomDigests(std::uint64_t n, std::uint64_t seed) {
 
 // --- page hashing -----------------------------------------------------
 
-Result BenchPageHashMaterialized() {
-  constexpr std::uint64_t kPages = 2048;
-  // Page images expanded once, up front: the row times the hash alone.
-  std::vector<std::byte> images(kPages * kPageSize);
+constexpr std::uint64_t kHashedPages = 2048;
+
+/// kHashedPages page images, expanded once, up front: the page-hash rows
+/// time the hash alone.
+std::vector<std::byte> HashedPageImages() {
+  std::vector<std::byte> images(kHashedPages * kPageSize);
   Xoshiro256 rng(7);
-  for (std::uint64_t p = 0; p < kPages; ++p) {
+  for (std::uint64_t p = 0; p < kHashedPages; ++p) {
     vm::MaterializePage(
         rng.Next(), std::span<std::byte>(images).subspan(p * kPageSize,
                                                          kPageSize));
   }
+  return images;
+}
+
+Result BenchPageHashMaterialized() {
+  constexpr std::uint64_t kPages = kHashedPages;
+  const std::vector<std::byte> images = HashedPageImages();
   // Honest MD5 per call: hash the page bytes directly, past the memo.
   return Measure("page_hash_materialized", kPages, kPageSize, 10, [&] {
     for (std::uint64_t p = 0; p < kPages; ++p) {
@@ -99,6 +109,19 @@ Result BenchPageHashMaterialized() {
       (void)sink;
     }
   });
+}
+
+Result BenchPageHashMaterializedBatch() {
+  // The same images through the lane kernel, kMd5Lanes pages per pass —
+  // what ContentDigests does with its memo misses. No memo.
+  const std::vector<std::byte> images = HashedPageImages();
+  std::vector<Digest128> digests(kHashedPages);
+  return Measure("page_hash_materialized_batch", kHashedPages, kPageSize, 10,
+                 [&] {
+                   Md5Lanes(images, kPageSize, digests);
+                   volatile std::uint64_t sink = digests.back().words[0];
+                   (void)sink;
+                 });
 }
 
 Result BenchPageHashSeed() {
@@ -277,6 +300,7 @@ int main(int argc, char** argv) {
 
   std::vector<Result> results;
   results.push_back(BenchPageHashMaterialized());
+  results.push_back(BenchPageHashMaterializedBatch());
   results.push_back(BenchPageHashSeed());
   results.push_back(BenchDigestSetBuild());
   results.push_back(BenchDigestSetProbe(/*hit=*/true));

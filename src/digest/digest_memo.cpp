@@ -1,5 +1,6 @@
 #include "digest/digest_memo.hpp"
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace vecycle {
@@ -22,22 +23,46 @@ std::uint64_t SeedDigestMemo::ProbeStart(std::uint64_t seed,
          mask_;
 }
 
-std::optional<Digest128> SeedDigestMemo::Find(DigestAlgorithm algorithm,
-                                              std::uint64_t seed) {
-  if (slots_.empty()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  const std::uint16_t tag = TagOf(algorithm);
+const SeedDigestMemo::Slot* SeedDigestMemo::Lookup(std::uint64_t seed,
+                                                   std::uint16_t tag) const {
+  if (slots_.empty()) return nullptr;
   for (std::uint64_t i = ProbeStart(seed, tag);; i = (i + 1) & mask_) {
     const Slot& slot = slots_[i];
-    if (slot.tag == 0) {
-      ++misses_;
-      return std::nullopt;
+    if (slot.tag == 0) return nullptr;
+    if (slot.tag == tag && slot.seed == seed) return &slot;
+  }
+}
+
+std::optional<Digest128> SeedDigestMemo::Find(DigestAlgorithm algorithm,
+                                              std::uint64_t seed) {
+  if (const Slot* slot = Lookup(seed, TagOf(algorithm))) {
+    ++hits_;
+    return slot->digest;
+  }
+  ++misses_;
+  return std::nullopt;
+}
+
+void SeedDigestMemo::FindMany(DigestAlgorithm algorithm,
+                              std::span<const std::uint64_t> seeds,
+                              std::span<Digest128> out,
+                              std::span<bool> found) {
+  VEC_CHECK_MSG(out.size() == seeds.size() && found.size() == seeds.size(),
+                "FindMany: one digest and one flag per seed");
+  const std::uint16_t tag = TagOf(algorithm);
+  if (!slots_.empty()) {
+    for (const std::uint64_t seed : seeds) {
+      __builtin_prefetch(&slots_[ProbeStart(seed, tag)]);
     }
-    if (slot.tag == tag && slot.seed == seed) {
+  }
+  for (std::size_t k = 0; k < seeds.size(); ++k) {
+    const Slot* slot = Lookup(seeds[k], tag);
+    found[k] = slot != nullptr;
+    if (slot != nullptr) {
+      out[k] = slot->digest;
       ++hits_;
-      return slot.digest;
+    } else {
+      ++misses_;
     }
   }
 }

@@ -10,6 +10,15 @@
 // from the seed into a stack buffer, hashes it and records only the
 // digest. It is the only digest cache in the library: seed-mode digests
 // are a pure mix and need none.
+//
+// Scans that digest many pages at once go through vm::ContentDigests,
+// which probes a block of seeds with FindMany — every probe's first slot
+// prefetched before any is walked, so a block pays about one memory
+// latency rather than one per probe — then expands the block's distinct
+// misses into a buffer of kMd5Lanes page images, hashes them together
+// with the lane-parallel MD5 kernel (digest/md5_lanes.hpp) and Stores
+// them. Counters and stored entries come out as the per-seed
+// Find-then-Store loop leaves them.
 // Results are bit-identical by construction (the computation is pure),
 // only wall-clock time changes — simulated CPU time is charged by the
 // ChecksumEngine and is unaffected.
@@ -21,6 +30,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "digest/digest.hpp"
@@ -35,6 +45,16 @@ class SeedDigestMemo {
   /// Cached digest for (algorithm, seed), or nullopt on a miss.
   [[nodiscard]] std::optional<Digest128> Find(DigestAlgorithm algorithm,
                                               std::uint64_t seed);
+
+  /// Find for a batch: probes seeds[i] for every i, in order, counting
+  /// hits and misses exactly as that many Find calls would. On a hit
+  /// found[i] is true and out[i] holds the digest; on a miss found[i] is
+  /// false and out[i] is untouched. The first slot of every probe is
+  /// prefetched before any chain is walked, so the batch's cache misses
+  /// overlap instead of queuing one behind the other.
+  void FindMany(DigestAlgorithm algorithm,
+                std::span<const std::uint64_t> seeds,
+                std::span<Digest128> out, std::span<bool> found);
 
   /// Records a computed digest. No-op once the table holds kMaxEntries
   /// (a bound, not an eviction policy: long processes stop growing the
@@ -60,6 +80,9 @@ class SeedDigestMemo {
 
   [[nodiscard]] std::uint64_t ProbeStart(std::uint64_t seed,
                                          std::uint16_t tag) const;
+  /// The slot holding (tag, seed), or null; counts nothing.
+  [[nodiscard]] const Slot* Lookup(std::uint64_t seed,
+                                   std::uint16_t tag) const;
   void Grow();
 
   std::vector<Slot> slots_;

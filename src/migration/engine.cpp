@@ -775,11 +775,10 @@ struct MigrationSession::Impl {
     // What the destination now knows: the digest set of the arrived
     // state — §3.2's incoming-page tracking, the source_knowledge of a
     // future return migration.
-    auto& dest_memory = *outcome.dest_memory;
-    outcome.incoming_digests.reserve(dest_memory.PageCount());
-    for (vm::PageId page = 0; page < dest_memory.PageCount(); ++page) {
-      outcome.incoming_digests.push_back(dest_memory.PageDigest(page));
-    }
+    const auto& dest_memory = *outcome.dest_memory;
+    outcome.incoming_digests.resize(dest_memory.PageCount());
+    vm::ContentDigests(dest_memory.Mode(), dest_memory.Algorithm(),
+                       dest_memory.Seeds(), outcome.incoming_digests);
     std::sort(outcome.incoming_digests.begin(),
               outcome.incoming_digests.end());
     outcome.incoming_digests.erase(

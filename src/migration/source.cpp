@@ -131,6 +131,50 @@ void SourceActor::ServeResend(const std::vector<vm::PageId>& pages,
   }
 }
 
+bool SourceActor::SkipsClean(vm::PageId page) const {
+  return UsesDirtyTracking(params_.config.strategy) &&
+         !params_.departure_generations.empty() &&
+         params_.memory->Generation(page) ==
+             params_.departure_generations[page];
+}
+
+namespace {
+
+/// A round-1 batch's hashed pages and their digests. Per thread, not per
+/// actor: PumpBatches fills and consumes it before returning, and one
+/// buffer per actor cost a 10k-VM fleet 16 MiB of peak RSS.
+struct ScanScratch {
+  std::vector<vm::PageId> pages;
+  std::vector<Digest128> digests;
+};
+
+ScanScratch& Scan() {
+  thread_local ScanScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+void SourceActor::HashScanAhead(std::uint64_t limit) {
+  auto& [pages, digests] = Scan();
+  pages.clear();
+  scan_next_ = 0;
+  if (!UsesContentHashes(params_.config.strategy)) return;
+  // Walks the pages this batch will classify, as PumpBatches does: every
+  // page not skipped as clean becomes a record, and a record hashes its
+  // page unless the page is zero.
+  const auto& seeds = params_.memory->Seeds();
+  std::uint64_t records = 0;
+  for (vm::PageId page = cursor_;
+       page < limit && records < params_.config.batch_pages; ++page) {
+    if (SkipsClean(page)) continue;
+    ++records;
+    if (seeds[page] != vm::kZeroPageSeed) pages.push_back(page);
+  }
+  digests.resize(pages.size());
+  params_.memory->PageDigests(pages, digests);
+}
+
 bool SourceActor::ClassifyFirstRoundPage(vm::PageId page,
                                          net::PageRecord& record,
                                          std::uint64_t& hash_bytes) {
@@ -140,8 +184,7 @@ bool SourceActor::ClassifyFirstRoundPage(vm::PageId page,
   // Miyakodori skip: generation counter unchanged since the VM left the
   // destination host — the destination's checkpoint copy is still valid
   // and nothing needs to travel. No checksum is ever computed.
-  if (UsesDirtyTracking(strategy) && !params_.departure_generations.empty() &&
-      memory.Generation(page) == params_.departure_generations[page]) {
+  if (SkipsClean(page)) {
     ++stats_.pages_skipped_clean;
     // The destination restores this page from its pristine checkpoint,
     // whose content the unchanged generation proves equals the live seed.
@@ -169,7 +212,12 @@ bool SourceActor::ClassifyFirstRoundPage(vm::PageId page,
   // and cannot proceed past `query_window` unanswered questions — the
   // protocol variant the paper expected to be slow.
   if (UsesContentHashes(strategy)) {
-    record.digest = memory.PageDigest(page);
+    // HashScanAhead computed this page's digest with the batch's others.
+    const auto& scan = Scan();
+    VEC_CHECK_MSG(scan_next_ < scan.pages.size() &&
+                      scan.pages[scan_next_] == page,
+                  "round scan hashed a different page set");
+    record.digest = scan.digests[scan_next_++];
     hash_bytes += kPageSize;
     bool dest_has;
     if (params_.query_oracle != nullptr) {
@@ -461,6 +509,7 @@ void SourceActor::PumpBatches() {
   std::vector<net::PageRecord> batch;
   batch.reserve(params_.config.batch_pages);
   std::uint64_t hash_bytes = 0;
+  if (first_round) HashScanAhead(limit);
   while (cursor_ < limit && batch.size() < params_.config.batch_pages) {
     if (first_round) {
       net::PageRecord record;

@@ -138,6 +138,18 @@ class SourceActor {
   void FinishRound();
   void OnRoundAck(SimTime arrival);
 
+  /// Miyakodori's test: dirty tracking is on and the page's generation
+  /// is unchanged since the VM left the destination host.
+  [[nodiscard]] bool SkipsClean(vm::PageId page) const;
+
+  /// Digests, in one GuestMemory::PageDigests batch, exactly the pages
+  /// the next round-1 batch (from cursor_ up to `limit`) will hash: those
+  /// neither skipped as clean nor zero, when the strategy compares
+  /// content hashes. Fills the calling thread's scan scratch for
+  /// ClassifyFirstRoundPage to consume, in page order, before
+  /// PumpBatches returns.
+  void HashScanAhead(std::uint64_t limit);
+
   /// Classifies one round-1 page into a wire record, charging checksum
   /// work into `hash_bytes` (booked per batch). Returns false when the
   /// page is skipped entirely (dirty-tracking clean page).
@@ -222,6 +234,10 @@ class SourceActor {
   Bytes round_tx_mark_;               ///< TotalPayloadSent() at round start
   std::uint32_t diverge_streak_ = 0;  ///< consecutive diverging rounds
   double throttle_ = 0.0;             ///< current guest throttle fraction
+
+  /// Next entry of the round-1 scan scratch (source.cpp) that
+  /// ClassifyFirstRoundPage consumes.
+  std::size_t scan_next_ = 0;
 
   // Round iteration state, consumed batch-by-batch by PumpBatches().
   std::vector<vm::PageId> round_pages_;  ///< empty in round 1 (walk RAM)

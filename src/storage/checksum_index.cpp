@@ -1,6 +1,8 @@
 #include "storage/checksum_index.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "common/check.hpp"
 
@@ -9,11 +11,17 @@ namespace vecycle::storage {
 ChecksumIndex ChecksumIndex::Build(const Checkpoint& checkpoint,
                                    vm::ContentMode mode,
                                    DigestAlgorithm algorithm) {
+  const std::span<const std::uint64_t> seeds = checkpoint.Seeds();
   std::vector<std::pair<Digest128, vm::PageId>> entries;
-  entries.reserve(checkpoint.PageCount());
-  for (vm::PageId page = 0; page < checkpoint.PageCount(); ++page) {
-    entries.emplace_back(
-        vm::ContentDigest(mode, algorithm, checkpoint.Seeds()[page]), page);
+  entries.reserve(seeds.size());
+  std::array<Digest128, 256> digests{};
+  for (std::size_t base = 0; base < seeds.size(); base += digests.size()) {
+    const std::size_t n = std::min(digests.size(), seeds.size() - base);
+    vm::ContentDigests(mode, algorithm, seeds.subspan(base, n),
+                       std::span(digests).first(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      entries.emplace_back(digests[i], base + i);
+    }
   }
   return FromEntries(std::move(entries), algorithm);
 }

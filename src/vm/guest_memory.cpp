@@ -1,11 +1,13 @@
 #include "vm/guest_memory.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
 #include "common/check.hpp"
 #include "digest/digest_memo.hpp"
 #include "digest/hasher.hpp"
+#include "digest/md5_lanes.hpp"
 
 namespace vecycle::vm {
 
@@ -23,15 +25,71 @@ void MaterializePage(std::uint64_t seed, std::span<std::byte> out) {
   }
 }
 
+namespace {
+
+Digest128 SeedModeDigest(DigestAlgorithm algorithm, std::uint64_t seed) {
+  // Odd multiplier: distinct algorithms give distinct salts.
+  const std::uint64_t salt =
+      (static_cast<std::uint64_t>(algorithm) + 1) * 0x9e3779b97f4a7c15ull;
+  return Digest128::FromWords(SplitMix64(seed + 1).Next(),
+                              SplitMix64(seed ^ salt).Next());
+}
+
+// ContentDigests works through its seeds in blocks of this many: a
+// block's memo probes are prefetched together and its misses hashed
+// kMd5Lanes at a time. A source round-scan batch (batch_pages, 256 by
+// default) is one block.
+constexpr std::size_t kDigestBlock = 256;
+
+/// One thread's scratch for ContentDigests' materialized path: a block's
+/// distinct seeds in first-occurrence order, where each first occurs,
+/// each position's index among them, a small open-addressing table
+/// (index + 1; 0 = free) that finds them, their digests, and the lane
+/// buffer of kMd5Lanes page images the misses expand into. Per thread,
+/// like SeedDigestMemo, so a call allocates nothing.
+struct DigestScratch {
+  std::array<std::uint64_t, kDigestBlock> distinct{};
+  std::array<std::uint16_t, kDigestBlock> first_at{};
+  std::array<std::uint16_t, kDigestBlock> index_of{};
+  std::array<std::uint16_t, 2 * kDigestBlock> table{};
+  std::array<Digest128, kDigestBlock> digests{};
+  std::array<bool, kDigestBlock> found{};
+  std::array<std::uint64_t, kDigestBlock> miss_seeds{};
+  std::array<Digest128, kDigestBlock> miss_digests{};
+  std::array<std::byte, kMd5Lanes * kPageSize> images{};
+};
+
+/// Expands and hashes `seeds` into `out` through `images`. MD5 runs
+/// kMd5Lanes pages at a time through the lane kernel; the other
+/// algorithms hash one image at a time.
+void HashImages(DigestAlgorithm algorithm,
+                std::span<const std::uint64_t> seeds,
+                std::span<Digest128> out,
+                std::span<std::byte, kMd5Lanes * kPageSize> images) {
+  if (algorithm != DigestAlgorithm::kMd5) {
+    const auto image = images.first(kPageSize);
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      MaterializePage(seeds[i], image);
+      out[i] = ComputeDigest(algorithm, image);
+    }
+    return;
+  }
+  for (std::size_t group = 0; group < seeds.size(); group += kMd5Lanes) {
+    const std::size_t count = std::min(kMd5Lanes, seeds.size() - group);
+    for (std::size_t l = 0; l < count; ++l) {
+      MaterializePage(seeds[group + l],
+                      images.subspan(l * kPageSize, kPageSize));
+    }
+    Md5Lanes(images.first(count * kPageSize), kPageSize,
+             out.subspan(group, count));
+  }
+}
+
+}  // namespace
+
 Digest128 ContentDigest(ContentMode mode, DigestAlgorithm algorithm,
                         std::uint64_t seed) {
-  if (mode == ContentMode::kSeedOnly) {
-    // Odd multiplier: distinct algorithms give distinct salts.
-    const std::uint64_t salt =
-        (static_cast<std::uint64_t>(algorithm) + 1) * 0x9e3779b97f4a7c15ull;
-    return Digest128::FromWords(SplitMix64(seed + 1).Next(),
-                                SplitMix64(seed ^ salt).Next());
-  }
+  if (mode == ContentMode::kSeedOnly) return SeedModeDigest(algorithm, seed);
   auto& memo = SeedDigestMemo::Instance();
   if (const auto hit = memo.Find(algorithm, seed)) return *hit;
   std::array<std::byte, kPageSize> image{};
@@ -39,6 +97,69 @@ Digest128 ContentDigest(ContentMode mode, DigestAlgorithm algorithm,
   const Digest128 digest = ComputeDigest(algorithm, image);
   memo.Store(algorithm, seed, digest);
   return digest;
+}
+
+void ContentDigests(ContentMode mode, DigestAlgorithm algorithm,
+                    std::span<const std::uint64_t> seeds,
+                    std::span<Digest128> out) {
+  VEC_CHECK_MSG(out.size() == seeds.size(),
+                "ContentDigests: one output per seed");
+  if (mode == ContentMode::kSeedOnly) {
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      out[i] = SeedModeDigest(algorithm, seeds[i]);
+    }
+    return;
+  }
+  auto& memo = SeedDigestMemo::Instance();
+  thread_local DigestScratch scratch;
+  auto& [distinct, first_at, index_of, table, digests, found, miss_seeds,
+         miss_digests, images] = scratch;
+  for (std::size_t base = 0; base < seeds.size(); base += kDigestBlock) {
+    const std::size_t n = std::min(kDigestBlock, seeds.size() - base);
+    table.fill(0);
+    std::size_t unique = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t seed = seeds[base + i];
+      std::size_t h = (seed * 0x9e3779b97f4a7c15ull) >> 55;  // 512 slots
+      while (table[h] != 0 && distinct[table[h] - 1u] != seed) {
+        h = (h + 1) % table.size();
+      }
+      if (table[h] == 0) {
+        distinct[unique] = seed;
+        first_at[unique] = static_cast<std::uint16_t>(i);
+        table[h] = static_cast<std::uint16_t>(++unique);
+      }
+      index_of[i] = static_cast<std::uint16_t>(table[h] - 1u);
+    }
+
+    memo.FindMany(algorithm, std::span(distinct).first(unique),
+                  std::span(digests).first(unique),
+                  std::span(found).first(unique));
+    std::size_t misses = 0;
+    for (std::size_t k = 0; k < unique; ++k) {
+      if (!found[k]) miss_seeds[misses++] = distinct[k];
+    }
+    HashImages(algorithm, std::span(miss_seeds).first(misses),
+               std::span(miss_digests).first(misses), images);
+    // Stored in first-occurrence order, as the per-seed loop stores them,
+    // so a memo nearing kMaxEntries keeps the same entries.
+    for (std::size_t k = 0, m = 0; k < unique; ++k) {
+      if (found[k]) continue;
+      digests[k] = miss_digests[m++];
+      memo.Store(algorithm, distinct[k], digests[k]);
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t k = index_of[i];
+      out[base + i] = digests[k];
+      // A repeat is probed only now, after its first occurrence was
+      // stored, so it hits or misses (memo full) exactly as it would in
+      // the per-seed Find-then-Store loop.
+      if (first_at[k] != i) {
+        static_cast<void>(memo.Find(algorithm, seeds[base + i]));
+      }
+    }
+  }
 }
 
 GuestMemory::GuestMemory(Bytes ram_size, ContentMode mode,
@@ -89,6 +210,22 @@ void GuestMemory::SetGenerations(std::vector<std::uint64_t> generations) {
 Digest128 GuestMemory::PageDigest(PageId page) const {
   CheckPage(page);
   return ContentDigest(mode_, algorithm_, seeds_[page]);
+}
+
+void GuestMemory::PageDigests(std::span<const PageId> pages,
+                              std::span<Digest128> out) const {
+  VEC_CHECK_MSG(out.size() == pages.size(),
+                "PageDigests: one output per page");
+  std::array<std::uint64_t, kDigestBlock> seeds{};
+  for (std::size_t base = 0; base < pages.size(); base += kDigestBlock) {
+    const std::size_t n = std::min(kDigestBlock, pages.size() - base);
+    for (std::size_t i = 0; i < n; ++i) {
+      CheckPage(pages[base + i]);
+      seeds[i] = seeds_[pages[base + i]];
+    }
+    ContentDigests(mode_, algorithm_, std::span(seeds).first(n),
+                   out.subspan(base, n));
+  }
 }
 
 std::uint64_t GuestMemory::ContentHash64(PageId page) const {

@@ -20,7 +20,11 @@
 //
 // ContentDigest() is the one definition of page content identity in both
 // modes; GuestMemory, checkpoint indexes and the destination's cross-checks
-// all name content through it.
+// all name content through it. Its batch form, ContentDigests(), gives the
+// same values and serves the scans that hash many pages at once (the
+// source's round scan, checkpoint index builds, the arrived-state digest
+// set): in materialized mode it hashes memo misses several pages at a
+// time with the lane-parallel MD5 kernel (digest/md5_lanes.hpp).
 //
 // Writes bump a per-page generation counter, which is exactly the dirty
 // tracking state Miyakodori keeps (§4.3). A generation counts writes, not
@@ -62,9 +66,27 @@ void MaterializePage(std::uint64_t seed, std::span<std::byte> out);
 ///  * kMaterialized: the real digest of the 4 KiB page image, memoized per
 ///    (algorithm, seed) in SeedDigestMemo. On a miss it expands the image
 ///    from the seed and hashes it.
+/// ContentDigests is the batch form and the one whole-memory and per-batch
+/// scans use.
 [[nodiscard]] Digest128 ContentDigest(ContentMode mode,
                                       DigestAlgorithm algorithm,
                                       std::uint64_t seed);
+
+/// out[i] = ContentDigest(mode, algorithm, seeds[i]) for every i, with the
+/// same SeedDigestMemo Hits()/Misses() counts and stored entries as that
+/// loop, computed in batches:
+///  * kSeedOnly: a straight loop of the mix; no memo, no allocation.
+///  * kMaterialized: per block of seeds, the memo is probed for the
+///    block's distinct seeds through FindMany (prefetched probes); the
+///    distinct misses — a seed repeated in the block is hashed once — are
+///    expanded into a buffer of kMd5Lanes page images and hashed together
+///    by the lane kernel (Md5Lanes; SHA-1, SHA-256 and FNV hash one image
+///    at a time), then stored. A call allocates nothing: the lane buffer
+///    (kMd5Lanes x 4 KiB) and the block's bookkeeping are per-thread
+///    scratch.
+void ContentDigests(ContentMode mode, DigestAlgorithm algorithm,
+                    std::span<const std::uint64_t> seeds,
+                    std::span<Digest128> out);
 
 class GuestMemory {
  public:
@@ -121,6 +143,10 @@ class GuestMemory {
   /// ContentDigest of the page's seed under this memory's mode and
   /// algorithm.
   [[nodiscard]] Digest128 PageDigest(PageId page) const;
+
+  /// out[i] = PageDigest(pages[i]) for every i, through ContentDigests.
+  void PageDigests(std::span<const PageId> pages,
+                   std::span<Digest128> out) const;
 
   /// 64-bit content hash for fingerprinting and analysis: words[0] of the
   /// seed-mode ContentDigest, in both modes.

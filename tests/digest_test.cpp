@@ -1,23 +1,28 @@
 // Digest algorithms verified against their specifications: MD5 against the
 // RFC 1321 appendix test suite, SHA-1 against RFC 3174 / FIPS 180 vectors,
 // FNV-1a against published reference values, plus incremental-update and
-// boundary-condition behaviour.
+// boundary-condition behaviour, and the lane-parallel MD5 kernel against
+// scalar MD5.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "digest/digest.hpp"
+#include "digest/digest_memo.hpp"
 #include "digest/digest_set.hpp"
 #include "digest/fnv.hpp"
 #include "digest/hasher.hpp"
 #include "digest/md5.hpp"
+#include "digest/md5_lanes.hpp"
 #include "digest/sha1.hpp"
 #include "digest/sha256.hpp"
+#include "vm/guest_memory.hpp"
 
 namespace vecycle {
 namespace {
@@ -361,6 +366,94 @@ TEST(PaddingBoundaries, IncrementalSplitsAgreeAtEveryBoundary) {
     EXPECT_EQ(md5.Finalize().ToHex(), kBoundaryVectors[5].md5)
         << "split " << split;
   }
+}
+
+// --- Md5Lanes: the lane-parallel kernel against scalar Md5Digest. ---
+
+/// `count` messages of `length` pseudo-random bytes, back to back.
+std::vector<std::byte> RandomMessages(std::size_t count, std::size_t length,
+                                      std::uint64_t seed) {
+  std::vector<std::byte> bytes(count * length);
+  Xoshiro256 rng(seed);
+  for (auto& b : bytes) b = static_cast<std::byte>(rng.Next());
+  return bytes;
+}
+
+void ExpectLanesMatchScalar(std::size_t count, std::size_t length) {
+  const auto messages = RandomMessages(count, length, count * 7919 + length);
+  std::vector<Digest128> lanes(count);
+  Md5Lanes(messages, length, lanes);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(lanes[i], Md5Digest(messages.data() + i * length, length))
+        << "message " << i << " of " << count << ", length " << length;
+  }
+}
+
+TEST(Md5Lanes, EveryBatchSizeUpToTwoFullGroupsPlusOne) {
+  // Partial groups leave spare lanes; none of them may leak into a
+  // result, and a lone message is a group of one.
+  for (std::size_t count = 1; count <= 2 * kMd5Lanes + 1; ++count) {
+    for (const std::size_t length : {0u, 55u, 56u, 63u, 64u, 65u, 4096u}) {
+      ExpectLanesMatchScalar(count, length);
+    }
+  }
+}
+
+TEST(Md5Lanes, EveryLengthUpToThreeBlocksAndAroundAPage) {
+  // The kernel accepts any length: tails of every size, one- and
+  // two-block padding, and lengths that are not a whole page.
+  for (std::size_t length = 0; length <= 192; ++length) {
+    ExpectLanesMatchScalar(kMd5Lanes + 1, length);
+  }
+  for (const std::size_t length : {4031u, 4032u, 4095u, 4097u, 8192u}) {
+    ExpectLanesMatchScalar(3, length);
+  }
+}
+
+TEST(Md5Lanes, BoundaryVectorsThroughTheLanes) {
+  // The padding-boundary reference digests, each message in every lane.
+  for (const auto& v : kBoundaryVectors) {
+    const std::string input(v.length, 'x');
+    std::vector<std::byte> messages(kMd5Lanes * v.length);
+    for (std::size_t l = 0; l < kMd5Lanes; ++l) {
+      std::memcpy(messages.data() + l * v.length, input.data(), v.length);
+    }
+    std::vector<Digest128> out(kMd5Lanes);
+    Md5Lanes(messages, v.length, out);
+    for (const auto& digest : out) {
+      EXPECT_EQ(digest.ToHex(), v.md5) << "length " << v.length;
+    }
+  }
+}
+
+TEST(Md5Lanes, PinnedPageImagesThroughTheBatchPath) {
+  // The two materialized page images whose MD5 (GNU coreutils md5sum) is
+  // pinned in vm_test, reached through the kernel directly and through
+  // vm::ContentDigests on a cold memo, whose misses it hashes.
+  std::vector<std::byte> images(2 * kPageSize);
+  vm::MaterializePage(55, std::span(images).first(kPageSize));
+  vm::MaterializePage(0xfeed, std::span(images).subspan(kPageSize));
+  std::vector<Digest128> out(2);
+  Md5Lanes(images, kPageSize, out);
+  EXPECT_EQ(out[0].ToHex(), "b7922990d31be2a9c2e3f5b7d5bf5207");
+  EXPECT_EQ(out[1].ToHex(), "558b988e34f8efc28cd53b35bc7f74c2");
+
+  SeedDigestMemo::Instance().Clear();
+  const std::vector<std::uint64_t> seeds = {55, 0xfeed};
+  std::vector<Digest128> batch(2);
+  vm::ContentDigests(vm::ContentMode::kMaterialized, DigestAlgorithm::kMd5,
+                     seeds, batch);
+  EXPECT_EQ(SeedDigestMemo::Instance().Misses(), 2u);
+  EXPECT_EQ(batch, out);
+  SeedDigestMemo::Instance().Clear();
+}
+
+TEST(Md5Lanes, MismatchedSizesThrow) {
+  std::vector<std::byte> messages(100);
+  std::vector<Digest128> out(2);
+  EXPECT_THROW(Md5Lanes(messages, 64, out), CheckFailure);
+  // No messages: nothing to do, whatever the length.
+  Md5Lanes({}, 4096, {});
 }
 
 // --- DigestSet: flat O(1) membership vs the sorted-vector baseline. ---

@@ -327,6 +327,194 @@ TEST(ContentDigest, MaterializedMemoIsInvisible) {
   EXPECT_EQ(warm, HonestDigest(memory, 0));
 }
 
+// --- ContentDigests: the batch form of ContentDigest. ---
+
+constexpr std::array<DigestAlgorithm, 4> kAllAlgorithms = {
+    DigestAlgorithm::kMd5, DigestAlgorithm::kSha1, DigestAlgorithm::kSha256,
+    DigestAlgorithm::kFnv1a};
+
+/// What one pass over a seed list produced and did to the memo.
+struct DigestPass {
+  std::vector<Digest128> digests;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t size = 0;  // memo entries afterwards
+};
+
+DigestPass PerSeedPass(ContentMode mode, DigestAlgorithm algorithm,
+                       const std::vector<std::uint64_t>& seeds) {
+  auto& memo = SeedDigestMemo::Instance();
+  const std::uint64_t hits = memo.Hits();
+  const std::uint64_t misses = memo.Misses();
+  DigestPass pass;
+  for (const auto seed : seeds) {
+    pass.digests.push_back(ContentDigest(mode, algorithm, seed));
+  }
+  pass.hits = memo.Hits() - hits;
+  pass.misses = memo.Misses() - misses;
+  pass.size = memo.Size();
+  return pass;
+}
+
+DigestPass BatchPass(ContentMode mode, DigestAlgorithm algorithm,
+                     const std::vector<std::uint64_t>& seeds) {
+  auto& memo = SeedDigestMemo::Instance();
+  const std::uint64_t hits = memo.Hits();
+  const std::uint64_t misses = memo.Misses();
+  DigestPass pass;
+  pass.digests.resize(seeds.size());
+  ContentDigests(mode, algorithm, seeds, pass.digests);
+  pass.hits = memo.Hits() - hits;
+  pass.misses = memo.Misses() - misses;
+  pass.size = memo.Size();
+  return pass;
+}
+
+/// Zero-page seeds, seeds repeated within a 256-seed block and across
+/// blocks, and unique seeds, over three blocks and a partial one.
+std::vector<std::uint64_t> MixedSeeds() {
+  std::vector<std::uint64_t> seeds;
+  Xoshiro256 rng(0xba7c4);
+  for (int i = 0; i < 700; ++i) {
+    const std::uint64_t coin = rng.NextBelow(10);
+    if (coin == 0) {
+      seeds.push_back(kZeroPageSeed);
+    } else if (coin <= 2) {
+      seeds.push_back(0x1000 + rng.NextBelow(16));  // a small pool
+    } else if (coin == 3 && !seeds.empty()) {
+      seeds.push_back(seeds[rng.NextBelow(seeds.size())]);
+    } else {
+      seeds.push_back(rng.Next());
+    }
+  }
+  return seeds;
+}
+
+/// The memo a pass starts from: cold, warmed by the per-seed path over
+/// every third seed, or holding kMaxEntries (or five fewer) unrelated
+/// entries.
+enum class MemoState { kCold, kWarm, kFull, kNearlyFull };
+
+void ExpectBatchMatchesPerSeed(MemoState state) {
+  const auto seeds = MixedSeeds();
+  auto& memo = SeedDigestMemo::Instance();
+  memo.Clear();
+  if (state == MemoState::kFull || state == MemoState::kNearlyFull) {
+    // Seeds no random draw in MixedSeeds will meet: they count toward
+    // kMaxEntries but never answer the test's probes.
+    const std::uint64_t fill = SeedDigestMemo::kMaxEntries -
+                               (state == MemoState::kFull ? 0 : 5);
+    for (std::uint64_t i = 0; i < fill; ++i) {
+      memo.Store(DigestAlgorithm::kMd5, 0xf111000000000000ull + i,
+                 Digest128::FromWords(i, i));
+    }
+    ASSERT_EQ(memo.Size(), fill);
+  }
+  const SeedDigestMemo start = memo;
+  for (const auto mode : kModes) {
+    for (const auto algorithm : kAllAlgorithms) {
+      SCOPED_TRACE(::testing::Message()
+                   << "mode " << static_cast<int>(mode) << " algorithm "
+                   << ToString(algorithm));
+      // Seed mode never touches the memo, so only materialized passes
+      // need it reset to the start state.
+      const auto prepare = [&] {
+        if (mode == ContentMode::kSeedOnly) return;
+        memo = start;
+        if (state != MemoState::kWarm) return;
+        for (std::size_t i = 0; i < seeds.size(); i += 3) {
+          static_cast<void>(ContentDigest(mode, algorithm, seeds[i]));
+        }
+      };
+      prepare();
+      const DigestPass per_seed = PerSeedPass(mode, algorithm, seeds);
+      prepare();
+      const DigestPass batch = BatchPass(mode, algorithm, seeds);
+      EXPECT_EQ(batch.digests, per_seed.digests);
+      EXPECT_EQ(batch.hits, per_seed.hits);
+      EXPECT_EQ(batch.misses, per_seed.misses);
+      EXPECT_EQ(batch.size, per_seed.size);
+      if (mode == ContentMode::kSeedOnly) {
+        EXPECT_EQ(batch.hits + batch.misses, 0u);  // no memo in seed mode
+      } else {
+        EXPECT_EQ(batch.hits + batch.misses, seeds.size());
+      }
+    }
+  }
+  memo.Clear();
+}
+
+TEST(ContentDigests, MatchThePerSeedLoopOnAColdMemo) {
+  ExpectBatchMatchesPerSeed(MemoState::kCold);
+}
+
+TEST(ContentDigests, MatchThePerSeedLoopOnAWarmMemo) {
+  ExpectBatchMatchesPerSeed(MemoState::kWarm);
+}
+
+TEST(ContentDigests, MatchThePerSeedLoopOnAFullMemo) {
+  // Store no longer records: every repeat of a missed seed misses again.
+  ExpectBatchMatchesPerSeed(MemoState::kFull);
+}
+
+TEST(ContentDigests, MatchThePerSeedLoopOnAMemoThatFillsMidBatch) {
+  // Only the first five distinct misses are recorded, in first-occurrence
+  // order; repeats of later ones miss.
+  ExpectBatchMatchesPerSeed(MemoState::kNearlyFull);
+}
+
+TEST(ContentDigests, EmptyAndZeroSeedBatches) {
+  for (const auto mode : kModes) {
+    ContentDigests(mode, DigestAlgorithm::kMd5, {}, {});
+    const std::vector<std::uint64_t> zeros(300, kZeroPageSeed);
+    SeedDigestMemo::Instance().Clear();
+    const DigestPass batch = BatchPass(mode, DigestAlgorithm::kMd5, zeros);
+    SeedDigestMemo::Instance().Clear();
+    const DigestPass per_seed =
+        PerSeedPass(mode, DigestAlgorithm::kMd5, zeros);
+    EXPECT_EQ(batch.digests, per_seed.digests);
+    EXPECT_EQ(batch.hits, per_seed.hits);
+    EXPECT_EQ(batch.misses, per_seed.misses);
+  }
+  std::array<std::byte, kPageSize> zero_page{};
+  EXPECT_EQ(ContentDigest(ContentMode::kMaterialized, DigestAlgorithm::kMd5,
+                          kZeroPageSeed),
+            Md5Digest(zero_page));
+  SeedDigestMemo::Instance().Clear();
+}
+
+TEST(ContentDigests, MismatchedSpansThrow) {
+  std::vector<std::uint64_t> seeds = {1, 2, 3};
+  std::vector<Digest128> out(2);
+  for (const auto mode : kModes) {
+    EXPECT_THROW(ContentDigests(mode, DigestAlgorithm::kMd5, seeds, out),
+                 CheckFailure);
+  }
+}
+
+TEST(GuestMemory, PageDigestsMatchPageDigest) {
+  for (const auto mode : kModes) {
+    GuestMemory memory(MiB(2), mode);
+    Xoshiro256 rng(0xd16e);
+    MemoryProfile{}.Apply(memory, rng);
+    std::vector<PageId> pages;
+    for (PageId p = 0; p < memory.PageCount(); p += 1 + rng.NextBelow(3)) {
+      pages.push_back(p);
+    }
+    pages.push_back(pages.front());  // repeats are allowed
+    std::vector<Digest128> out(pages.size());
+    SeedDigestMemo::Instance().Clear();
+    memory.PageDigests(pages, out);
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      EXPECT_EQ(out[i], memory.PageDigest(pages[i]));
+    }
+    const std::vector<PageId> out_of_range = {memory.PageCount()};
+    std::vector<Digest128> one(1);
+    EXPECT_THROW(memory.PageDigests(out_of_range, one), CheckFailure);
+  }
+  SeedDigestMemo::Instance().Clear();
+}
+
 TEST(DigestCache, WritePageInvalidates) {
   for (const auto mode : kModes) {
     GuestMemory memory(MiB(1), mode);
