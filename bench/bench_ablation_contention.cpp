@@ -51,7 +51,7 @@ EvacuationResult Evacuate(std::size_t vm_count,
   // Each VM: 512 MiB, ~90% still matching the day-old checkpoint at the
   // destination (a typical Fig. 1 server at a few hours delta).
   std::vector<std::unique_ptr<vm::GuestMemory>> memories;
-  std::vector<std::vector<Digest128>> knowledge(vm_count);
+  std::vector<std::shared_ptr<const DigestSet>> knowledge(vm_count);
   for (std::size_t i = 0; i < vm_count; ++i) {
     auto memory = std::make_unique<vm::GuestMemory>(
         MiB(512), vm::ContentMode::kSeedOnly);
@@ -62,9 +62,11 @@ EvacuationResult Evacuate(std::size_t vm_count,
     const std::string id = "vm" + std::to_string(i);
     dest_stores[i]->Save(id, storage::Checkpoint::CaptureFrom(*memory),
                          kSimEpoch);
+    std::vector<Digest128> digests;
     for (vm::PageId p = 0; p < memory->PageCount(); ++p) {
-      knowledge[i].push_back(memory->PageDigest(p));
+      digests.push_back(memory->PageDigest(p));
     }
+    knowledge[i] = std::make_shared<const DigestSet>(std::move(digests));
     // 10% churn since the checkpoint was taken.
     vm::UniformRandomWorkload churn(100.0, 200 + i);
     churn.Advance(*memory, Seconds(131.0));

@@ -31,7 +31,7 @@ migration::MigrationStats Run(sim::LinkConfig link,
   config.query_window = window;
   // Forget the ping-pong knowledge so the exchange actually runs: the
   // cold-source path is what §3.2 discusses.
-  vm.RememberPagesAt("A", {});
+  vm.RememberPagesAt("A", nullptr);
   return world.orchestrator.Migrate(vm, "A", config);
 }
 

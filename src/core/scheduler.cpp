@@ -58,7 +58,7 @@ migration::MigrationRun MakeMigrationRun(
   run.destination = {&dest_host.Cpu(), &dest_host.Store()};
   run.vm_id = vm.Id();
   run.config = config;
-  run.source_knowledge_set = vm.KnownPageSetAt(to);
+  run.source_knowledge = vm.KnownPagesAt(to);
   // Dirty-tracking generations and the delta baseline resolve through the
   // destination's checkpoint store — the system of record for what the VM
   // left there (empty when the checkpoint was evicted or never written).

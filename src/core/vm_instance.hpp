@@ -12,10 +12,8 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/host.hpp"
-#include "digest/digest.hpp"
 #include "digest/digest_set.hpp"
 #include "vm/guest_memory.hpp"
 #include "vm/workload.hpp"
@@ -47,25 +45,17 @@ class VmInstance {
     memory_ = std::move(memory);
   }
 
-  /// Sorted digest set of the checkpoint left behind at `host` (empty
-  /// vector if the host was never visited).
-  [[nodiscard]] std::vector<Digest128> KnownPagesAt(
-      const HostId& host) const {
-    const auto it = known_pages_.find(host);
-    return it == known_pages_.end() ? std::vector<Digest128>{}
-                                    : it->second->ToSortedVector();
-  }
-  /// Prebuilt membership set for `host`; null if never visited. The set is
-  /// built once in RememberPagesAt, so every later migration toward `host`
-  /// probes it without re-sorting or re-hashing anything.
-  [[nodiscard]] std::shared_ptr<const DigestSet> KnownPageSetAt(
+  /// Page contents of the checkpoint left behind at `host` — the
+  /// membership set the migration toward `host` arrived with, shared with
+  /// every later migration toward it; null if the host was never visited.
+  [[nodiscard]] std::shared_ptr<const DigestSet> KnownPagesAt(
       const HostId& host) const {
     const auto it = known_pages_.find(host);
     return it == known_pages_.end() ? nullptr : it->second;
   }
-  void RememberPagesAt(const HostId& host, std::vector<Digest128> digests) {
-    known_pages_[host] =
-        std::make_shared<const DigestSet>(std::move(digests));
+  void RememberPagesAt(const HostId& host,
+                       std::shared_ptr<const DigestSet> pages) {
+    known_pages_[host] = std::move(pages);
   }
 
   [[nodiscard]] std::size_t VisitedHostCount() const {

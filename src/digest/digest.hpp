@@ -10,15 +10,14 @@
 #include <array>
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/rng.hpp"
 
 namespace vecycle {
 
-/// 128-bit digest value. Ordered (for the sorted checksum index of §3.3)
-/// and hashable (for unordered sets during deduplication).
+/// 128-bit digest value. Ordered (for the sorted checksum index of §3.3);
+/// the open-addressing digest tables place it with SlotHash.
 struct Digest128 {
   std::array<std::uint64_t, 2> words{};
 
@@ -62,13 +61,3 @@ constexpr std::uint64_t WireSizeBytes(DigestAlgorithm algorithm) {
 }
 
 }  // namespace vecycle
-
-namespace std {
-template <>
-struct hash<vecycle::Digest128> {
-  size_t operator()(const vecycle::Digest128& d) const noexcept {
-    // The digest is already uniformly distributed; fold the words.
-    return static_cast<size_t>(d.words[0] ^ (d.words[1] * 0x9e3779b97f4a7c15ull));
-  }
-};
-}  // namespace std

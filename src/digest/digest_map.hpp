@@ -1,6 +1,6 @@
 // Flat open-addressing map from 128-bit digests to 64-bit values.
 //
-// Sibling of DigestSet (the §3.3 membership structure): same power-of-two
+// Sibling of DigestSet (the §3.2 membership structure): same power-of-two
 // table, same SlotHash over both digest words, same
 // <= 50% load factor — but each slot carries a value, and entries can be
 // erased. The chunk store uses it as its content index: chunk digest ->

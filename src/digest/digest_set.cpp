@@ -12,17 +12,34 @@ std::uint64_t NextPowerOfTwo(std::uint64_t n) {
   return p;
 }
 
+// <= 50% load keeps linear-probe chains short (expected < 2 probes).
+std::uint64_t CapacityFor(std::uint64_t entries) {
+  return NextPowerOfTwo(std::max<std::uint64_t>(8, entries * 2));
+}
+
 }  // namespace
 
 DigestSet::DigestSet(std::vector<Digest128> digests) {
   if (digests.empty()) return;
-  // <= 50% load keeps linear-probe chains short (expected < 2 probes).
-  const std::uint64_t capacity =
-      NextPowerOfTwo(std::max<std::uint64_t>(8, digests.size() * 2));
-  slots_.assign(capacity, kEmptySlot);
-  mask_ = capacity - 1;
+  Fill(digests);
+  if (CapacityFor(size_) < slots_.size()) {
+    // Many duplicates (zero pages, shared content): refill from the
+    // distinct digests so the table does not stay sized for every page.
+    digests.clear();
+    for (const auto& slot : slots_) {
+      if (slot != kEmptySlot) digests.push_back(slot);
+    }
+    if (holds_empty_marker_) digests.push_back(kEmptySlot);
+    Fill(digests);
+  }
+}
+
+void DigestSet::Fill(const std::vector<Digest128>& digests) {
+  slots_.assign(CapacityFor(digests.size()), kEmptySlot);
+  mask_ = slots_.size() - 1;
+  size_ = 0;
+  holds_empty_marker_ = false;
   for (const auto& digest : digests) Insert(digest);
-  digests.clear();
 }
 
 void DigestSet::Insert(const Digest128& digest) {
@@ -56,17 +73,6 @@ bool DigestSet::Contains(const Digest128& digest) const {
     if (slot == kEmptySlot) return false;
     index = (index + 1) & mask_;
   }
-}
-
-std::vector<Digest128> DigestSet::ToSortedVector() const {
-  std::vector<Digest128> digests;
-  digests.reserve(size_);
-  for (const auto& slot : slots_) {
-    if (slot != kEmptySlot) digests.push_back(slot);
-  }
-  if (holds_empty_marker_) digests.push_back(kEmptySlot);
-  std::sort(digests.begin(), digests.end());
-  return digests;
 }
 
 }  // namespace vecycle

@@ -425,9 +425,7 @@ struct MigrationSession::Impl {
         run.source_memory->PageCount() / run.config.batch_pages + 16));
 
     const bool source_has_knowledge =
-        (run.source_knowledge_set != nullptr &&
-         !run.source_knowledge_set->Empty()) ||
-        !run.source_knowledge.empty();
+        run.source_knowledge != nullptr && !run.source_knowledge->Empty();
     const bool dest_has_checkpoint =
         UsesCheckpoint(run.config.strategy) &&
         run.destination.store != nullptr &&
@@ -454,8 +452,7 @@ struct MigrationSession::Impl {
       // Checksum-only records can only be satisfied from a checkpoint;
       // any stale knowledge the VM carries about this destination is
       // useless (e.g. the checkpoint was evicted or the VM was resized).
-      run.source_knowledge.clear();
-      run.source_knowledge_set.reset();
+      run.source_knowledge.reset();
     }
     if (!dest_has_checkpoint || !run.config.delta.enabled ||
         run.departure_seeds.size() != run.source_memory->PageCount()) {
@@ -494,7 +491,6 @@ struct MigrationSession::Impl {
     src_params.workload = run.workload;
     src_params.config = run.config;
     src_params.dest_digests = std::move(run.source_knowledge);
-    src_params.dest_digest_set = std::move(run.source_knowledge_set);
     src_params.departure_generations =
         std::move(run.departure_generations);
     src_params.departure_seeds = std::move(run.departure_seeds);
@@ -776,15 +772,11 @@ struct MigrationSession::Impl {
     // state — §3.2's incoming-page tracking, the source_knowledge of a
     // future return migration.
     const auto& dest_memory = *outcome.dest_memory;
-    outcome.incoming_digests.resize(dest_memory.PageCount());
+    std::vector<Digest128> arrived(dest_memory.PageCount());
     vm::ContentDigests(dest_memory.Mode(), dest_memory.Algorithm(),
-                       dest_memory.Seeds(), outcome.incoming_digests);
-    std::sort(outcome.incoming_digests.begin(),
-              outcome.incoming_digests.end());
-    outcome.incoming_digests.erase(
-        std::unique(outcome.incoming_digests.begin(),
-                    outcome.incoming_digests.end()),
-        outcome.incoming_digests.end());
+                       dest_memory.Seeds(), arrived);
+    outcome.incoming_digests =
+        std::make_shared<const DigestSet>(std::move(arrived));
 
     if (auditor != nullptr) {
       if (residency != nullptr) {

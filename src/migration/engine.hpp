@@ -100,16 +100,12 @@ struct MigrationRun {
   storage::VmId vm_id = "vm";
   MigrationConfig config;
 
-  /// Digest set the source already knows to exist at the destination
-  /// (ping-pong fast path, learned during the previous incoming
-  /// migration). Empty + content-hash strategy + checkpoint at the
-  /// destination triggers the §3.2 bulk exchange instead.
-  std::vector<Digest128> source_knowledge;
-
-  /// Prebuilt membership set with the same meaning as source_knowledge;
-  /// wins when non-null. VmInstance builds the set once per remembered
-  /// host, so repeat migrations probe it with zero rebuild cost.
-  std::shared_ptr<const DigestSet> source_knowledge_set;
+  /// Page contents the source already knows to exist at the destination
+  /// (ping-pong fast path: the previous incoming migration's
+  /// MigrationOutcome::incoming_digests, shared, never rebuilt). Null or
+  /// empty + content-hash strategy + checkpoint at the destination
+  /// triggers the §3.2 bulk exchange instead.
+  std::shared_ptr<const DigestSet> source_knowledge;
 
   /// Generation counters at the moment the VM last left the destination
   /// (Miyakodori); empty means no dirty-tracking state.
@@ -177,7 +173,7 @@ struct MigrationOutcome {
   std::unique_ptr<vm::GuestMemory> dest_memory;
   /// What the destination learned during the migration: the digest set of
   /// the VM's arrived state — the source_knowledge for the return trip.
-  std::vector<Digest128> incoming_digests;
+  std::shared_ptr<const DigestSet> incoming_digests;
   SimTime completed_at = kSimEpoch;
 };
 

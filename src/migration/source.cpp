@@ -8,7 +8,9 @@
 
 namespace vecycle::migration {
 
-SourceActor::SourceActor(Params params) : params_(std::move(params)) {
+SourceActor::SourceActor(Params params)
+    : params_(std::move(params)),
+      dest_digests_(std::move(params_.dest_digests)) {
   VEC_CHECK(params_.simulator != nullptr);
   VEC_CHECK_MSG(!params_.channels.empty(), "source needs a forward channel");
   for (auto* channel : params_.channels) VEC_CHECK(channel != nullptr);
@@ -37,18 +39,10 @@ SourceActor::SourceActor(Params params) : params_(std::move(params)) {
       dest_view_known_.assign(params_.memory->PageCount(), 0);
     }
   }
-  if (params_.dest_digest_set != nullptr) {
-    shared_dest_digests_ = std::move(params_.dest_digest_set);
-  } else if (!params_.dest_digests.empty()) {
-    owned_dest_digests_ = DigestSet(std::move(params_.dest_digests));
-  }
 }
 
 bool SourceActor::DestHas(const Digest128& digest) const {
-  const DigestSet& digests = shared_dest_digests_ != nullptr
-                                 ? *shared_dest_digests_
-                                 : owned_dest_digests_;
-  return digests.Contains(digest);
+  return dest_digests_ != nullptr && dest_digests_->Contains(digest);
 }
 
 void SourceActor::Start(SimTime start) {
@@ -68,10 +62,10 @@ void SourceActor::OnMessage(net::Message&& message, SimTime arrival) {
       VEC_CHECK_MSG(!started_, "bulk hashes after round 1 started");
       stats_.bulk_exchange_bytes +=
           message.WireSize(params_.config.algorithm);
-      // Consume the payload by move; the hash set needs no sort, so the
-      // digests go straight from the wire into the probe table.
-      owned_dest_digests_ = DigestSet(std::move(message.bulk_hashes));
-      shared_dest_digests_.reset();
+      // Messages stay plain values, so the membership set is built here,
+      // from the payload, rather than shipped.
+      dest_digests_ =
+          std::make_shared<const DigestSet>(std::move(message.bulk_hashes));
       Start(arrival);
       break;
     }

@@ -12,7 +12,8 @@ ChecksumIndex ChecksumIndex::Build(const Checkpoint& checkpoint,
                                    vm::ContentMode mode,
                                    DigestAlgorithm algorithm) {
   const std::span<const std::uint64_t> seeds = checkpoint.Seeds();
-  std::vector<std::pair<Digest128, vm::PageId>> entries;
+  ChecksumIndex index;
+  auto& entries = index.entries_;
   entries.reserve(seeds.size());
   std::array<Digest128, 256> digests{};
   for (std::size_t base = 0; base < seeds.size(); base += digests.size()) {
@@ -23,16 +24,7 @@ ChecksumIndex ChecksumIndex::Build(const Checkpoint& checkpoint,
       entries.emplace_back(digests[i], base + i);
     }
   }
-  return FromEntries(std::move(entries), algorithm);
-}
-
-ChecksumIndex ChecksumIndex::FromEntries(
-    std::vector<std::pair<Digest128, vm::PageId>> entries,
-    DigestAlgorithm algorithm) {
-  ChecksumIndex index;
-  index.algorithm_ = algorithm;
-  index.entries_ = std::move(entries);
-  std::sort(index.entries_.begin(), index.entries_.end());
+  std::sort(entries.begin(), entries.end());
   return index;
 }
 
@@ -45,14 +37,6 @@ std::optional<vm::PageId> ChecksumIndex::Lookup(
   return it->second;
 }
 
-std::uint64_t ChecksumIndex::DistinctDigests() const {
-  std::uint64_t distinct = 0;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (i == 0 || entries_[i].first != entries_[i - 1].first) ++distinct;
-  }
-  return distinct;
-}
-
 std::vector<Digest128> ChecksumIndex::DistinctDigestList() const {
   std::vector<Digest128> digests;
   digests.reserve(entries_.size());
@@ -62,10 +46,6 @@ std::vector<Digest128> ChecksumIndex::DistinctDigestList() const {
     }
   }
   return digests;
-}
-
-Bytes ChecksumIndex::BulkExchangeSize() const {
-  return Bytes{DistinctDigests() * WireSizeBytes(algorithm_)};
 }
 
 }  // namespace vecycle::storage

@@ -27,14 +27,8 @@ class ChecksumIndex {
   static ChecksumIndex Build(const Checkpoint& checkpoint,
                              vm::ContentMode mode, DigestAlgorithm algorithm);
 
-  /// Builds from explicit (digest, page) pairs — used by the source to
-  /// remember the page set it saw during a previous incoming migration.
-  static ChecksumIndex FromEntries(
-      std::vector<std::pair<Digest128, vm::PageId>> entries,
-      DigestAlgorithm algorithm);
-
-  /// Binary-searches for `digest`; returns the page/file-block offset of
-  /// one checkpoint page with that content, or nullopt.
+  /// Binary-searches for `digest`; returns the lowest page/file-block
+  /// offset of the checkpoint pages with that content, or nullopt.
   [[nodiscard]] std::optional<vm::PageId> Lookup(
       const Digest128& digest) const;
 
@@ -42,24 +36,15 @@ class ChecksumIndex {
     return Lookup(digest).has_value();
   }
 
-  /// Number of index entries (== pages indexed, duplicates collapsed to
-  /// their first offset at build time but all entries retained for size
-  /// accounting fidelity).
-  [[nodiscard]] std::uint64_t EntryCount() const { return entries_.size(); }
-  [[nodiscard]] std::uint64_t DistinctDigests() const;
   [[nodiscard]] bool Empty() const { return entries_.empty(); }
 
   /// The distinct digests, sorted — the §3.2 bulk-exchange payload.
   [[nodiscard]] std::vector<Digest128> DistinctDigestList() const;
 
-  /// Wire size of the bulk hash exchange: distinct digests x digest size.
-  [[nodiscard]] Bytes BulkExchangeSize() const;
-
-  [[nodiscard]] DigestAlgorithm Algorithm() const { return algorithm_; }
-
  private:
-  std::vector<std::pair<Digest128, vm::PageId>> entries_;  // sorted by digest
-  DigestAlgorithm algorithm_ = DigestAlgorithm::kMd5;
+  // One entry per page, sorted by (digest, page): equal digests keep
+  // ascending offsets, so Lookup's lower_bound lands on the lowest.
+  std::vector<std::pair<Digest128, vm::PageId>> entries_;
 };
 
 }  // namespace vecycle::storage

@@ -5,7 +5,7 @@
 // same content over and over. Here a checkpoint becomes a *manifest*: an
 // ordered list of chunk digests, one per fixed-size run of pages, where
 // the chunk payloads live in a shared refcounted arena indexed by content
-// digest (a DigestMap, the erasable sibling of the §3.3 DigestSet). A
+// digest (a DigestMap, the erasable sibling of the §3.2 DigestSet). A
 // chunk present in any live manifest is stored exactly once, whether the
 // duplication is across VMs (golden image) or across successive legs of
 // one VM's ping-pong (unchanged pages between visits).
@@ -88,11 +88,11 @@ struct Manifest {
 
 /// Content digest of a chunk (a run of page seeds). Two FNV-1a passes —
 /// the second seeded by the first — fill both digest words, so the
-/// DigestSet/DigestMap slot hash (which mixes the low word) and ordered
-/// sweeps (which compare both) see well-distributed values. FNV suffices
-/// here for the same reason it does for sender-side dedup: chunks live on
-/// one host and the store re-verifies reconstructed images by strong
-/// digest anyway.
+/// DigestSet/DigestMap slot hash (SlotHash, which mixes both words) and
+/// ordered sweeps (which compare both) see well-distributed values. FNV
+/// suffices here for the same reason it does for sender-side dedup:
+/// chunks live on one host and the store re-verifies reconstructed images
+/// by strong digest anyway.
 Digest128 ChunkDigest(std::span<const std::uint64_t> seeds);
 
 /// Gang-dedup cache key for one page's content: the low word of the

@@ -253,12 +253,6 @@ TEST(Digest128, HexRendering) {
   EXPECT_EQ(d.ToHex(), "0123456789abcdeffedcba9876543210");
 }
 
-TEST(Digest128, StdHashSpreadsValues) {
-  const auto a = std::hash<Digest128>{}(Digest128::FromWords(1, 2));
-  const auto b = std::hash<Digest128>{}(Digest128::FromWords(2, 1));
-  EXPECT_NE(a, b);
-}
-
 // --- Algorithm dispatch. ---
 
 TEST(Hasher, DispatchMatchesDirectCalls) {
@@ -536,9 +530,31 @@ TEST(DigestSet, DeduplicatesAndSortsBack) {
   with_dups.insert(with_dups.end(), corpus.begin(), corpus.end());
   const DigestSet set(with_dups);
   EXPECT_EQ(set.Size(), corpus.size());
+  for (const auto& digest : corpus) EXPECT_TRUE(set.Contains(digest));
+  // Sized for the 1000 distinct digests, not the 2000 inserted.
+  EXPECT_EQ(set.Capacity(), 2048u);
+}
 
-  std::sort(corpus.begin(), corpus.end());
-  EXPECT_EQ(set.ToSortedVector(), corpus);
+TEST(DigestSet, MostlyDuplicateInputIsSizedForItsDistinctDigests) {
+  // A mostly-zero memory's arrived state: 4096 pages, 10 contents.
+  std::vector<Digest128> pages(4096, Digest128::FromWords(0, 0));
+  const auto corpus = RandomCorpus(9, 0x77);
+  std::copy(corpus.begin(), corpus.end(), pages.begin());
+  const DigestSet set(pages);
+  EXPECT_EQ(set.Size(), 10u);
+  EXPECT_EQ(set.Capacity(), 32u);
+  EXPECT_TRUE(set.Contains(Digest128::FromWords(0, 0)));
+  for (const auto& digest : corpus) EXPECT_TRUE(set.Contains(digest));
+  EXPECT_FALSE(set.Contains(Digest128::FromWords(1, 1)));
+
+  // The free-slot marker repeated is one digest too.
+  const auto marker =
+      Digest128::FromWords(0x9d5c6fabe17c4e2bull, 0x3f84a1d0c2b96e57ull);
+  const DigestSet markers(std::vector<Digest128>(100, marker));
+  EXPECT_EQ(markers.Size(), 1u);
+  EXPECT_EQ(markers.Capacity(), 8u);
+  EXPECT_TRUE(markers.Contains(marker));
+  EXPECT_FALSE(markers.Contains(Digest128::FromWords(0, 0)));
 }
 
 TEST(DigestSet, InternalEmptyMarkerValueIsStorable) {
@@ -552,10 +568,7 @@ TEST(DigestSet, InternalEmptyMarkerValueIsStorable) {
   const DigestSet set(corpus);
   EXPECT_TRUE(set.Contains(marker));
   EXPECT_EQ(set.Size(), 17u);
-  auto sorted = RandomCorpus(16, 0x11);
-  sorted.push_back(marker);
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(set.ToSortedVector(), sorted);
+  for (const auto& digest : corpus) EXPECT_TRUE(set.Contains(digest));
 }
 
 }  // namespace

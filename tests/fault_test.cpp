@@ -65,12 +65,12 @@ vm::GuestMemory RandomMemory(Bytes ram, std::uint64_t seed) {
   return memory;
 }
 
-std::vector<Digest128> DigestsOf(const vm::GuestMemory& memory) {
+std::shared_ptr<const DigestSet> DigestsOf(const vm::GuestMemory& memory) {
   std::vector<Digest128> digests;
   for (vm::PageId p = 0; p < memory.PageCount(); ++p) {
     digests.push_back(memory.PageDigest(p));
   }
-  return digests;
+  return std::make_shared<const DigestSet>(std::move(digests));
 }
 
 std::unique_ptr<core::VmInstance> MakeVm(const std::string& id, Bytes ram,

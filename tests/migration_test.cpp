@@ -48,14 +48,14 @@ vm::GuestMemory RandomMemory(Bytes ram, std::uint64_t seed,
   return memory;
 }
 
-/// Digest list of a memory image — the ping-pong knowledge a source would
+/// Digest set of a memory image — the ping-pong knowledge a source would
 /// have learned from a previous incoming migration.
-std::vector<Digest128> DigestsOf(const vm::GuestMemory& memory) {
+std::shared_ptr<const DigestSet> DigestsOf(const vm::GuestMemory& memory) {
   std::vector<Digest128> digests;
   for (vm::PageId p = 0; p < memory.PageCount(); ++p) {
     digests.push_back(memory.PageDigest(p));
   }
-  return digests;
+  return std::make_shared<const DigestSet>(std::move(digests));
 }
 
 // --- Correctness: every strategy reconstructs memory exactly. ---
@@ -516,7 +516,8 @@ TEST(Migration, DowntimeIsSmallForIdleVm) {
 // --- Timing shape (the §4.4 claims at small scale). ---
 
 TEST(Migration, VeCycleIsFasterThanBaselineAtHighSimilarity) {
-  auto make = [](Strategy strategy, std::vector<Digest128> knowledge,
+  auto make = [](Strategy strategy,
+                 std::shared_ptr<const DigestSet> knowledge,
                  bool with_checkpoint) {
     auto bed = std::make_unique<TestBed>();
     auto memory = RandomMemory(MiB(64), 20);

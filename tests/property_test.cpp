@@ -241,10 +241,11 @@ TEST_P(MigrationSweep, InvariantsHold) {
   // Stale checkpoint + VM metadata from a previous visit.
   const auto departure = memory.Generations();
   dst_store.Save("vm", storage::Checkpoint::CaptureFrom(memory), kSimEpoch);
-  std::vector<Digest128> knowledge;
+  std::vector<Digest128> digests;
   for (vm::PageId p = 0; p < memory.PageCount(); ++p) {
-    knowledge.push_back(memory.PageDigest(p));
+    digests.push_back(memory.PageDigest(p));
   }
+  auto knowledge = std::make_shared<const DigestSet>(std::move(digests));
 
   // Churn before and during the migration.
   vm::UniformRandomWorkload churn(param.churn_pages_per_s, 0x5ee);
@@ -279,10 +280,10 @@ TEST_P(MigrationSweep, InvariantsHold) {
             Pages(memory.PageCount()).count + memory.PageCount() * 64);
   // 5. Incoming digests describe the final state: every page's digest is
   //    findable.
+  ASSERT_NE(outcome.incoming_digests, nullptr);
   for (vm::PageId p = 0; p < memory.PageCount(); p += 97) {
-    EXPECT_TRUE(std::binary_search(outcome.incoming_digests.begin(),
-                                   outcome.incoming_digests.end(),
-                                   outcome.dest_memory->PageDigest(p)));
+    EXPECT_TRUE(outcome.incoming_digests->Contains(
+        outcome.dest_memory->PageDigest(p)));
   }
 }
 

@@ -2,12 +2,14 @@
 // checkpoint store with disk-time accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
 #include "audit/replay.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "net/message.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/checkpoint_store.hpp"
 #include "storage/checksum_index.hpp"
@@ -140,6 +142,29 @@ TEST(ChecksumIndex, LookupFindsEveryPage) {
   }
 }
 
+TEST(ChecksumIndex, DuplicateContentResolvesToTheLowestOffset) {
+  // Several pages share content; Lookup must name the lowest of them, the
+  // offset chunked ReadBlock routing reads the content from.
+  vm::GuestMemory memory(MiB(1), vm::ContentMode::kSeedOnly);
+  for (vm::PageId p = 0; p < memory.PageCount(); ++p) {
+    memory.WritePage(p, 1000 + p);
+  }
+  const std::vector<vm::PageId> sharing = {200, 17, 255, 90, 31};
+  for (const vm::PageId p : sharing) memory.WritePage(p, 77);
+  memory.WritePage(5, 78);
+  memory.WritePage(3, 78);
+  const auto index =
+      ChecksumIndex::Build(Checkpoint::CaptureFrom(memory),
+                           vm::ContentMode::kSeedOnly, DigestAlgorithm::kMd5);
+  const auto digest_of = [](std::uint64_t seed) {
+    return vm::ContentDigest(vm::ContentMode::kSeedOnly,
+                             DigestAlgorithm::kMd5, seed);
+  };
+  EXPECT_EQ(index.Lookup(digest_of(77)), 17u);
+  EXPECT_EQ(index.Lookup(digest_of(78)), 3u);
+  EXPECT_EQ(index.Lookup(digest_of(vm::kZeroPageSeed)), std::nullopt);
+}
+
 TEST(ChecksumIndex, MissingDigestReturnsNullopt) {
   auto memory = MakeMemory();
   const auto cp = Checkpoint::CaptureFrom(memory);
@@ -156,14 +181,15 @@ TEST(ChecksumIndex, DistinctCountCollapsesDuplicates) {
   const auto cp = Checkpoint::CaptureFrom(memory);
   const auto index = ChecksumIndex::Build(cp, vm::ContentMode::kSeedOnly,
                                           DigestAlgorithm::kMd5);
-  EXPECT_EQ(index.EntryCount(), memory.PageCount());
-  EXPECT_EQ(index.DistinctDigests(), 10u);
-  EXPECT_EQ(index.DistinctDigestList().size(), 10u);
+  const auto distinct = index.DistinctDigestList();
+  EXPECT_EQ(distinct.size(), 10u);
+  EXPECT_TRUE(std::is_sorted(distinct.begin(), distinct.end()));
 }
 
 TEST(ChecksumIndex, BulkExchangeSizeMatchesPaperExample) {
   // §3.2: a 4 GiB VM has 2^20 pages -> 16 MiB of MD5 checksums. Verify at
-  // reduced scale: 4 MiB VM, 1024 pages, all distinct -> 16 KiB.
+  // reduced scale: 4 MiB VM, 1024 pages, all distinct -> 16 KiB of
+  // digests in the bulk message, plus its control frame.
   vm::GuestMemory memory(MiB(4), vm::ContentMode::kSeedOnly);
   for (vm::PageId p = 0; p < memory.PageCount(); ++p) {
     memory.WritePage(p, p + 1000);
@@ -171,20 +197,34 @@ TEST(ChecksumIndex, BulkExchangeSizeMatchesPaperExample) {
   const auto cp = Checkpoint::CaptureFrom(memory);
   const auto index = ChecksumIndex::Build(cp, vm::ContentMode::kSeedOnly,
                                           DigestAlgorithm::kMd5);
-  EXPECT_EQ(index.BulkExchangeSize(), KiB(16));
+  net::Message bulk;
+  bulk.type = net::MessageType::kBulkHashes;
+  bulk.bulk_hashes = index.DistinctDigestList();
+  EXPECT_EQ(bulk.WireSize(DigestAlgorithm::kMd5),
+            KiB(16) + Bytes{net::kControlFrameBytes});
 }
 
 TEST(ChecksumIndex, FromEntriesSortsInput) {
-  std::vector<std::pair<Digest128, vm::PageId>> entries = {
-      {Digest128::FromWords(3, 0), 30},
-      {Digest128::FromWords(1, 0), 10},
-      {Digest128::FromWords(2, 0), 20},
-  };
+  // Pages written in descending digest order come back at their own
+  // offsets: Build sorts the (digest, page) entries it reads in page
+  // order.
+  vm::GuestMemory memory(Pages(3), vm::ContentMode::kSeedOnly);
+  std::vector<std::pair<Digest128, std::uint64_t>> by_digest;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    by_digest.emplace_back(vm::ContentDigest(vm::ContentMode::kSeedOnly,
+                                             DigestAlgorithm::kMd5, seed),
+                           seed);
+  }
+  std::sort(by_digest.rbegin(), by_digest.rend());
+  for (vm::PageId page = 0; page < 3; ++page) {
+    memory.WritePage(page, by_digest[page].second);
+  }
   const auto index =
-      ChecksumIndex::FromEntries(std::move(entries), DigestAlgorithm::kMd5);
-  EXPECT_EQ(index.Lookup(Digest128::FromWords(1, 0)), 10u);
-  EXPECT_EQ(index.Lookup(Digest128::FromWords(2, 0)), 20u);
-  EXPECT_EQ(index.Lookup(Digest128::FromWords(3, 0)), 30u);
+      ChecksumIndex::Build(Checkpoint::CaptureFrom(memory),
+                           vm::ContentMode::kSeedOnly, DigestAlgorithm::kMd5);
+  for (vm::PageId page = 0; page < 3; ++page) {
+    EXPECT_EQ(index.Lookup(by_digest[page].first), page);
+  }
 }
 
 // --- Checkpoint store. ---
